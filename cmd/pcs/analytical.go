@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/cacti"
@@ -16,8 +15,9 @@ import (
 // analyticalCommand regenerates the paper's analytical results: Fig. 2
 // (SRAM BER vs VDD), Fig. 3a-d, the Sec. 4.2 area-overhead estimates
 // and the computed Table-2 voltage plans — the old pcs-analytical
-// binary as a subcommand.
-func analyticalCommand() *cli.Command {
+// binary as a subcommand. Every table and line goes to stdout, so tests
+// can run the command in-process against the golden output.
+func analyticalCommand(stdout io.Writer) *cli.Command {
 	var (
 		fig2      bool
 		fig3a     bool
@@ -56,7 +56,7 @@ func analyticalCommand() *cli.Command {
 			fs.BoolVar(&csv, "csv", false, "emit CSV instead of aligned tables")
 		},
 		Run: func(fs *flag.FlagSet) error {
-			render := func(t *report.Table) error { return renderTable(t, csv) }
+			render := func(t *report.Table) error { return renderTable(stdout, t, csv) }
 			if listMechs {
 				return render(expers.MechanismList())
 			}
@@ -71,7 +71,6 @@ func analyticalCommand() *cli.Command {
 			if !(fig2 || fig3a || fig3b || fig3c || fig3d || area || vdd || gap || organ) {
 				all = true
 			}
-			out := os.Stdout
 
 			if all || fig2 {
 				_, t := expers.Fig2()
@@ -80,12 +79,7 @@ func analyticalCommand() *cli.Command {
 				}
 			}
 			if all || fig3a {
-				var t *report.Table
-				if mechNames == nil {
-					_, t, err = expers.Fig3a(org, 2)
-				} else {
-					_, t, err = expers.Fig3aMechs(org, 2, mechNames)
-				}
+				_, t, err := expers.Fig3aMechs(org, 2, mechNames)
 				if err != nil {
 					return err
 				}
@@ -94,17 +88,12 @@ func analyticalCommand() *cli.Command {
 				}
 			}
 			if (all || gap || fig3a) && hasMech(mechNames, "proposed") && hasMech(mechNames, "fftcache") {
-				if err := printGaps(out, org); err != nil {
+				if err := printGaps(stdout, org); err != nil {
 					return err
 				}
 			}
 			if all || fig3b {
-				var t *report.Table
-				if mechNames == nil {
-					_, t, err = expers.Fig3b(org)
-				} else {
-					_, t, err = expers.Fig3bMechs(org, mechNames)
-				}
+				_, t, err := expers.Fig3bMechs(org, mechNames)
 				if err != nil {
 					return err
 				}
@@ -122,23 +111,14 @@ func analyticalCommand() *cli.Command {
 				}
 			}
 			if all || fig3d {
-				var t, mt *report.Table
-				if mechNames == nil {
-					_, t, err = expers.Fig3d(org)
-				} else {
-					_, t, err = expers.Fig3dMechs(org, mechNames)
-				}
+				_, t, err := expers.Fig3dMechs(org, mechNames)
 				if err != nil {
 					return err
 				}
 				if err := render(t); err != nil {
 					return err
 				}
-				if mechNames == nil {
-					_, mt, err = expers.MinVDDs(org)
-				} else {
-					_, mt, err = expers.MinVDDMechs(org, mechNames)
-				}
+				_, mt, err := expers.MinVDDMechs(org, mechNames)
 				if err != nil {
 					return err
 				}
@@ -225,9 +205,9 @@ func pickOrg(name string) (cacti.Org, error) {
 }
 
 // parseMechanisms parses a -mechanisms selection. An empty flag returns
-// nil: the commands then take the legacy fixed-shape code paths, which
-// render the registry's default set. A non-empty selection is resolved
-// eagerly so typos fail before any table prints.
+// nil, the registry's default set (the paper's comparison, which the
+// golden tables show). A non-empty selection is resolved eagerly so
+// typos fail before any table prints.
 func parseMechanisms(csv string) ([]string, error) {
 	if strings.TrimSpace(csv) == "" {
 		return nil, nil

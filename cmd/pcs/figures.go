@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -159,7 +160,7 @@ func figuresCommand() *cli.Command {
 			// Fig. 4 panels from a (scaled) simulation run.
 			opts := cpusim.RunOptions{WarmupInstr: instr / 4, SimInstr: instr, Seed: 1}
 			for _, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
-				data, err := expers.Fig4(cfg, opts, os.Stderr)
+				data, _, err := expers.Fig4Grid(context.Background(), cfg, opts, expers.GridOptions{Progress: os.Stderr})
 				if err != nil {
 					return err
 				}

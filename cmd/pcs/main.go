@@ -17,9 +17,9 @@
 //	pcs version     print the build version
 //
 // The simulation-grid commands (sim, sweep, multicore) also accept
-// -spec file.json|file.toml, a declarative experiment document (see
-// internal/config); the same document can be POSTed to a pcs serve
-// instance at /campaigns. Any flag can be defaulted from the
+// -spec file.json, a declarative JSON experiment document (see
+// internal/config); the same document is the body a pcs serve instance
+// accepts at POST /campaigns. Any flag can be defaulted from the
 // environment as PCS_<FLAG> (e.g. PCS_WORKERS=8); explicit flags win.
 //
 // The campaign commands also accept -cache DIR (env PCS_CACHE): a
@@ -47,7 +47,7 @@ func main() {
 		simCommand(),
 		sweepCommand(),
 		multicoreCommand(),
-		analyticalCommand(),
+		analyticalCommand(os.Stdout),
 		bistCommand(),
 		traceCommand(),
 		figuresCommand(),

@@ -46,7 +46,7 @@ func multicoreCommand() *cli.Command {
 		Summary: "run the multi-core extension (shared PCS-managed L2, core-count x policy grid)",
 		Usage:   "[-spec file] [-cores 1,2,4] [-bench name] [-instr N] [flags]",
 		SetFlags: func(fs *flag.FlagSet) {
-			fs.StringVar(&spec, "spec", "", "experiment spec file (.json or .toml) with a \"multicore\" section")
+			fs.StringVar(&spec, "spec", "", "experiment spec file (JSON) with a \"multicore\" section")
 			fs.StringVar(&coresFlag, "cores", "1,2,4", "comma-separated core counts to sweep")
 			fs.StringVar(&bench, "bench", "gobmk.s", "workload run on every core")
 			fs.Uint64Var(&instr, "instr", 2_000_000, "measured instructions per core")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -171,7 +172,7 @@ func writeReport(out string, instr uint64) (err error) {
 	}
 
 	section("Fig. 3a — static power vs effective capacity (L1-A)")
-	_, t3a, err := expers.Fig3a(expers.L1ConfigA(), 2)
+	_, t3a, err := expers.Fig3aMechs(expers.L1ConfigA(), 2, nil)
 	if err := must(t3a, err); err != nil {
 		return err
 	}
@@ -185,7 +186,7 @@ func writeReport(out string, instr uint64) (err error) {
 	}
 
 	section("Fig. 3b — usable blocks vs VDD (L1-A)")
-	_, t3b, err := expers.Fig3b(expers.L1ConfigA())
+	_, t3b, err := expers.Fig3bMechs(expers.L1ConfigA(), nil)
 	if err := must(t3b, err); err != nil {
 		return err
 	}
@@ -197,11 +198,11 @@ func writeReport(out string, instr uint64) (err error) {
 	}
 
 	section("Fig. 3d — yield vs VDD, five schemes (L1-A)")
-	_, t3d, err := expers.Fig3d(expers.L1ConfigA())
+	_, t3d, err := expers.Fig3dMechs(expers.L1ConfigA(), nil)
 	if err := must(t3d, err); err != nil {
 		return err
 	}
-	_, tmv, err := expers.MinVDDs(expers.L1ConfigA())
+	_, tmv, err := expers.MinVDDMechs(expers.L1ConfigA(), nil)
 	if err := must(tmv, err); err != nil {
 		return err
 	}
@@ -234,7 +235,7 @@ func writeReport(out string, instr uint64) (err error) {
 	opts := cpusim.RunOptions{WarmupInstr: maxU(instr/12, 500_000), SimInstr: instr, Seed: 1}
 	for _, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
 		fmt.Fprintf(os.Stderr, "simulating Config %s (%d instr x 48 runs)...\n", cfg.Name, instr)
-		data, err := expers.Fig4(cfg, opts, os.Stderr)
+		data, _, err := expers.Fig4Grid(context.Background(), cfg, opts, expers.GridOptions{Progress: os.Stderr})
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,7 @@ import (
 // experiment kinds can be submitted, monitored and harvested remotely —
 // the old pcs-server binary as a subcommand:
 //
-//	POST   /campaigns               submit a campaign (job list or spec document)
+//	POST   /campaigns               submit a campaign (spec document)
 //	GET    /campaigns               list campaigns
 //	GET    /campaigns/{id}          status, progress, ETA
 //	GET    /campaigns/{id}/results  stream result records as JSON lines
@@ -36,9 +36,9 @@ import (
 //	GET    /healthz                 liveness probe
 //	GET    /readyz                  readiness probe (503 once draining)
 //
-// POST /campaigns accepts either the low-level job-list body or the
-// same declarative spec document (JSON or TOML) that pcs sim/sweep/
-// multicore take via -spec; specs expand through internal/config.
+// POST /campaigns accepts the same declarative JSON spec document that
+// pcs sim/sweep/multicore take via -spec, expanded through
+// internal/config; a raw job list is a spec with a "campaign" section.
 //
 // The server drains gracefully on SIGTERM/SIGINT: /readyz flips to 503
 // and new submissions are refused, the listener stops accepting
@@ -80,11 +80,10 @@ func serveCommand() *cli.Command {
 			if err != nil {
 				return err
 			}
-			srv := runner.NewServer(expers.NewCampaignRegistry(), runner.ServerOptions{
+			srv := runner.NewServer(expers.NewCampaignRegistry(), config.ExpandBytes, runner.ServerOptions{
 				DefaultWorkers: workers,
 				ArtifactRoot:   runsRoot,
 				Logger:         logger,
-				SpecExpander:   config.ExpandBytes,
 				Cache:          cache,
 				CodeVersion:    version.String(),
 				TraceSpans:     traceOn,

@@ -47,7 +47,7 @@ func simCommand() *cli.Command {
 		Summary: "run the Fig. 4 simulation grid (16 workloads x baseline/SPCS/DPCS)",
 		Usage:   "[-spec file] [-config A|B|both] [-instr N] [-bench name] [flags]",
 		SetFlags: func(fs *flag.FlagSet) {
-			fs.StringVar(&spec, "spec", "", "experiment spec file (.json or .toml) with a \"sim\" section")
+			fs.StringVar(&spec, "spec", "", "experiment spec file (JSON) with a \"sim\" section")
 			fs.StringVar(&cfgSel, "config", "both", "system configuration: A, B or both")
 			fs.Uint64Var(&instr, "instr", 24_000_000, "measured instructions per run")
 			fs.Uint64Var(&warmup, "warmup", 2_000_000, "warm-up instructions (fast-forward)")
@@ -176,7 +176,7 @@ func simCommand() *cli.Command {
 					expers.Fig4EnergyTable(data),
 					expers.SummaryTable(expers.Summarise(data)),
 				} {
-					if err := renderTable(t, csv); err != nil {
+					if err := renderTable(os.Stdout, t, csv); err != nil {
 						return err
 					}
 				}
@@ -200,17 +200,17 @@ func flagsSet(fs *flag.FlagSet) map[string]bool {
 	return set
 }
 
-// renderTable writes one table as text or CSV, matching the historical
-// binaries' output byte for byte.
-func renderTable(t *report.Table, csv bool) error {
+// renderTable writes one table to w as text or CSV, matching the
+// historical binaries' output byte for byte.
+func renderTable(w io.Writer, t *report.Table, csv bool) error {
 	if csv {
-		if err := t.RenderCSV(os.Stdout); err != nil {
+		if err := t.RenderCSV(w); err != nil {
 			return err
 		}
-		fmt.Println()
-		return nil
+		_, err := fmt.Fprintln(w)
+		return err
 	}
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }
 
 func runSingle(cfg cpusim.SystemConfig, name string, opts cpusim.RunOptions, timeline string) error {

@@ -54,7 +54,7 @@ func sweepCommand() *cli.Command {
 		Summary: "run the design-space studies (min-VDD geometry, VDD levels, cells, leakage, DPCS policy, ablation, mechanisms)",
 		Usage:   "[-spec file] [-assoc] [-levels] [-cells] [-leakage] [-dpcs] [-ablate] [-mechs] [flags]",
 		SetFlags: func(fs *flag.FlagSet) {
-			fs.StringVar(&spec, "spec", "", "experiment spec file (.json or .toml) with a \"sweep\" section")
+			fs.StringVar(&spec, "spec", "", "experiment spec file (JSON) with a \"sweep\" section")
 			for _, name := range expers.StudyNames() {
 				study[name] = fs.Bool(name, false, summaries[name])
 			}

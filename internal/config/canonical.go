@@ -11,8 +11,8 @@ import (
 
 // CanonicalJSON renders the document in the result store's canonical
 // form — sorted keys, compact, number literals preserved — so two
-// specs that differ only in formatting, key order, or source format
-// (JSON vs TOML) serialize identically.
+// specs that differ only in formatting or key order serialize
+// identically.
 func (d *Document) CanonicalJSON() ([]byte, error) {
 	raw, err := json.Marshal(d)
 	if err != nil {

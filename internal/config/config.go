@@ -1,11 +1,12 @@
 // Package config defines the declarative experiment-spec layer: a
-// versioned, validated document (JSON or TOML) that describes a
-// complete experiment — the Fig. 4 simulation grid, a design-space
-// sweep, a multi-core study, or a raw campaign job list — independently
-// of how it is executed. The pcs CLI loads a spec with -spec and runs it
-// locally; POST /campaigns on a pcs-server accepts the same document and
-// runs it through the same registry, so local and remote runs are
-// byte-identical from one artifact.
+// versioned, validated JSON document that describes a complete
+// experiment — the Fig. 4 simulation grid, a design-space sweep, a
+// multi-core study, or a raw campaign job list — independently of how
+// it is executed. The pcs CLI loads a spec with -spec and runs it
+// locally; POST /campaigns on a pcs serve instance accepts the same
+// document, decoded by the same Decode, and runs it through the same
+// registry, so local and remote runs are byte-identical from one
+// artifact.
 //
 // # Document shape
 //

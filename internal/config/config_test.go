@@ -1,6 +1,7 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,61 +13,95 @@ import (
 	"repro/internal/mechanism"
 )
 
+// roundTripDocs covers every section shape; TestRoundTripStability
+// checks them and FuzzDecode starts from them.
+var roundTripDocs = []string{
+	`{"version":1,"sim":{}}`,
+	`{"version":1,"name":"fig4-a","seed":7,"workers":4,"sim":{"config":"A","bench":"mcf.s","warmup_instr":1000,"sim_instr":5000}}`,
+	`{"version":1,"sweep":{}}`,
+	`{"version":1,"sweep":{"studies":["assoc","dpcs"],"bench":"mcf.s","sim_instr":100000}}`,
+	`{"version":1,"multicore":{}}`,
+	`{"version":1,"multicore":{"cores":[2,8],"shared_frac":0.25}}`,
+	`{"version":1,"campaign":{"jobs":[{"kind":"minvdd","name":"m","params":{"size_bytes":32768,"ways":4,"block_bytes":64}}]}}`,
+}
+
+// checkRoundTrip decodes src and checks its canonical encoding is a
+// fixed point of Encode → Decode → Encode. It reports whether Decode
+// accepted src.
+func checkRoundTrip(t *testing.T, src []byte) bool {
+	t.Helper()
+	d1, err := Decode(src)
+	if err != nil {
+		return false
+	}
+	enc1, err := d1.Encode()
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	d2, err := Decode(enc1)
+	if err != nil {
+		t.Fatalf("decode(encode(%s)): %v\nencoded:\n%s", src, err, enc1)
+	}
+	enc2, err := d2.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc1, enc2) {
+		t.Fatalf("%s: encoding not stable:\n--- first ---\n%s--- second ---\n%s", src, enc1, enc2)
+	}
+	return true
+}
+
 // TestRoundTripStability checks encode → decode → encode is a fixed
 // point for every section shape: the canonical JSON form is stable.
 func TestRoundTripStability(t *testing.T) {
-	docs := []string{
-		`{"version":1,"sim":{}}`,
-		`{"version":1,"name":"fig4-a","seed":7,"workers":4,"sim":{"config":"A","bench":"mcf.s","warmup_instr":1000,"sim_instr":5000}}`,
-		`{"version":1,"sweep":{}}`,
-		`{"version":1,"sweep":{"studies":["assoc","dpcs"],"bench":"mcf.s","sim_instr":100000}}`,
-		`{"version":1,"multicore":{}}`,
-		`{"version":1,"multicore":{"cores":[2,8],"shared_frac":0.25}}`,
-		`{"version":1,"campaign":{"jobs":[{"kind":"minvdd","name":"m","params":{"size_bytes":32768,"ways":4,"block_bytes":64}}]}}`,
-	}
-	for _, src := range docs {
-		d1, err := Decode([]byte(src), JSON)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		enc1, err := d1.Encode()
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		d2, err := Decode(enc1, JSON)
-		if err != nil {
-			t.Fatalf("decode(encode(%s)): %v\nencoded:\n%s", src, err, enc1)
-		}
-		enc2, err := d2.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(enc1) != string(enc2) {
-			t.Errorf("%s: encoding not stable:\n--- first ---\n%s--- second ---\n%s", src, enc1, enc2)
+	for _, src := range roundTripDocs {
+		if !checkRoundTrip(t, []byte(src)) {
+			t.Errorf("rejected %s", src)
 		}
 	}
 }
 
+// FuzzDecode drives the one spec decoder behind -spec and POST
+// /campaigns with arbitrary bytes: Decode must never panic, and every
+// document it accepts must round-trip to a fixed point. Seeds are the
+// round-trip documents and the checked-in examples.
+func FuzzDecode(f *testing.F) {
+	for _, src := range roundTripDocs {
+		f.Add([]byte(src))
+	}
+	examples, err := filepath.Glob("../../examples/*.json")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example specs found (err %v)", err)
+	}
+	for _, path := range examples {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRoundTrip(t, data)
+	})
+}
+
 // TestUnknownFieldRejection checks strict decoding at every nesting
-// depth, in both formats.
+// depth.
 func TestUnknownFieldRejection(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
-		fmt  Format
 	}{
-		{"top-level json", `{"version":1,"sim":{},"typo":1}`, JSON},
-		{"section json", `{"version":1,"sim":{"sim_inst":5000}}`, JSON},
-		{"sweep json", `{"version":1,"sweep":{"benchmark":"mcf.s"}}`, JSON},
-		{"multicore json", `{"version":1,"multicore":{"coars":[1]}}`, JSON},
-		{"job params json", `{"version":1,"campaign":{"jobs":[{"kind":"minvdd","params":{"size_bytes":1024,"ways":2,"block_bytes":64,"yeild":0.9}}]}}`, JSON},
-		{"trailing json", `{"version":1,"sim":{}} {"version":1}`, JSON},
-		{"top-level toml", "version = 1\ntypo = 1\n[sim]\n", TOML},
-		{"section toml", "version = 1\n[sim]\nsim_inst = 5000\n", TOML},
-		{"job params toml", "version = 1\n[[campaign.jobs]]\nkind = \"minvdd\"\n[campaign.jobs.params]\nsize_bytes = 1024\nways = 2\nblock_bytes = 64\nyeild = 0.9\n", TOML},
+		{"top-level", `{"version":1,"sim":{},"typo":1}`},
+		{"section", `{"version":1,"sim":{"sim_inst":5000}}`},
+		{"sweep", `{"version":1,"sweep":{"benchmark":"mcf.s"}}`},
+		{"multicore", `{"version":1,"multicore":{"coars":[1]}}`},
+		{"job params", `{"version":1,"campaign":{"jobs":[{"kind":"minvdd","params":{"size_bytes":1024,"ways":2,"block_bytes":64,"yeild":0.9}}]}}`},
+		{"trailing", `{"version":1,"sim":{}} {"version":1}`},
 	}
 	for _, c := range cases {
-		if _, err := Decode([]byte(c.src), c.fmt); err == nil {
+		if _, err := Decode([]byte(c.src)); err == nil {
 			t.Errorf("%s: accepted %q", c.name, c.src)
 		}
 	}
@@ -93,7 +128,7 @@ func TestDocumentValidation(t *testing.T) {
 		{`{"version":1,"campaign":{"jobs":[{"kind":"cpusim","params":{"bench":"bzip2.s"}}]}}`, ""},
 	}
 	for _, c := range cases {
-		_, err := Decode([]byte(c.src), JSON)
+		_, err := Decode([]byte(c.src))
 		if err == nil {
 			t.Errorf("%s: accepted", c.src)
 			continue
@@ -107,7 +142,7 @@ func TestDocumentValidation(t *testing.T) {
 // TestSectionDefaults checks every omitted knob fills with its
 // documented default.
 func TestSectionDefaults(t *testing.T) {
-	d, err := Decode([]byte(`{"version":1,"sim":{}}`), JSON)
+	d, err := Decode([]byte(`{"version":1,"sim":{}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +153,7 @@ func TestSectionDefaults(t *testing.T) {
 		t.Errorf("sim defaults: %+v, want %+v", got, want)
 	}
 
-	d, err = Decode([]byte(`{"version":1,"sweep":{}}`), JSON)
+	d, err = Decode([]byte(`{"version":1,"sweep":{}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +164,7 @@ func TestSectionDefaults(t *testing.T) {
 		t.Errorf("sweep studies default: %v, want %v", d.Sweep.Studies, expers.StudyNames())
 	}
 
-	d, err = Decode([]byte(`{"version":1,"multicore":{}}`), JSON)
+	d, err = Decode([]byte(`{"version":1,"multicore":{}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +257,7 @@ func TestKnownKindsMatchRegistry(t *testing.T) {
 // TestSimExpansion checks the Fig. 4 grid lowers to the historical
 // config × bench × mode job order with the master seed pinned.
 func TestSimExpansion(t *testing.T) {
-	d, err := Decode([]byte(`{"version":1,"seed":9,"sim":{"bench":"mcf.s","sim_instr":1000,"warmup_instr":100}}`), JSON)
+	d, err := Decode([]byte(`{"version":1,"seed":9,"sim":{"bench":"mcf.s","sim_instr":1000,"warmup_instr":100}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +292,7 @@ func TestSimExpansion(t *testing.T) {
 // TestSweepExpansion checks study jobs concatenate with study-prefixed
 // names, matching the studies' own job lists.
 func TestSweepExpansion(t *testing.T) {
-	d, err := Decode([]byte(`{"version":1,"sweep":{"studies":["levels","dpcs"],"sim_instr":5000}}`), JSON)
+	d, err := Decode([]byte(`{"version":1,"sweep":{"studies":["levels","dpcs"],"sim_instr":5000}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +315,7 @@ func TestSweepExpansion(t *testing.T) {
 // TestMulticoreExpansion checks the cores × mode grid order and pinned
 // seed.
 func TestMulticoreExpansion(t *testing.T) {
-	d, err := Decode([]byte(`{"version":1,"multicore":{"cores":[2,4]}}`), JSON)
+	d, err := Decode([]byte(`{"version":1,"multicore":{"cores":[2,4]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +348,7 @@ func TestCampaignExpansionSeedConvention(t *testing.T) {
 		{"kind":"cpusim","params":{"bench":"bzip2.s","sim_instr":100}},
 		{"kind":"cpusim","params":{"bench":"bzip2.s","sim_instr":100,"seed":3}}
 	]}}`
-	d, err := Decode([]byte(src), JSON)
+	d, err := Decode([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,63 +377,70 @@ func TestCampaignExpansionSeedConvention(t *testing.T) {
 	}
 }
 
-// TestExpandBytesSniffsFormat checks the server hook accepts both
-// encodings of the same document and produces the same campaign.
-func TestExpandBytesSniffsFormat(t *testing.T) {
-	jsonSrc := `{"version":1,"workers":3,"multicore":{"cores":[2]}}`
-	tomlSrc := "version = 1\nworkers = 3\n\n[multicore]\ncores = [2]\n"
-	cj, wj, err := ExpandBytes([]byte(jsonSrc))
+// TestExpandBytes checks the server hook returns the campaign and
+// worker count of the document it is given, and refuses a non-JSON
+// (TOML) body instead of guessing its format.
+func TestExpandBytes(t *testing.T) {
+	src := `{"version":1,"workers":3,"multicore":{"cores":[2]}}`
+	camp, workers, err := ExpandBytes([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, wt, err := ExpandBytes([]byte(tomlSrc))
+	if workers != 3 {
+		t.Fatalf("workers %d, want 3", workers)
+	}
+	d, err := Decode([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wj != 3 || wt != 3 {
-		t.Fatalf("workers %d, %d", wj, wt)
+	want, err := d.ExpandCampaign()
+	if err != nil {
+		t.Fatal(err)
 	}
-	bj, _ := json.Marshal(cj)
-	bt, _ := json.Marshal(ct)
-	if string(bj) != string(bt) {
-		t.Fatalf("campaigns differ:\njson: %s\ntoml: %s", bj, bt)
+	if !reflect.DeepEqual(camp, want) {
+		t.Fatalf("ExpandBytes campaign %+v, want %+v", camp, want)
+	}
+	if _, _, err := ExpandBytes([]byte("version = 1\nworkers = 3\n\n[multicore]\ncores = [2]\n")); err == nil ||
+		!strings.Contains(err.Error(), "bad spec") {
+		t.Errorf("TOML body error = %v", err)
 	}
 }
 
-// TestLoadDispatchesOnExtension writes both encodings to disk and loads
-// them back.
-func TestLoadDispatchesOnExtension(t *testing.T) {
+// TestLoad reads a spec file back from disk; the content decides, not
+// the extension, and a bad file's error names its path.
+func TestLoad(t *testing.T) {
 	dir := t.TempDir()
-	files := map[string]string{
-		"spec.json": `{"version":1,"sim":{"sim_instr":1000}}`,
-		"spec.toml": "version = 1\n[sim]\nsim_instr = 1_000\n",
+	good := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(good, []byte(`{"version":1,"sim":{"sim_instr":1000}}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for name, src := range files {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		d, err := Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Sim == nil || d.Sim.SimInstr != 1000 {
-			t.Errorf("%s: %+v", name, d.Sim)
-		}
+	d, err := Load(good)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(filepath.Join(dir, "spec.yaml")); err == nil {
-		t.Error("accepted .yaml")
+	if d.Sim == nil || d.Sim.SimInstr != 1000 {
+		t.Errorf("loaded %+v", d.Sim)
+	}
+	bad := filepath.Join(dir, "spec.toml")
+	if err := os.WriteFile(bad, []byte("version = 1\n[sim]\nsim_instr = 1_000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("non-JSON spec error = %v, want one naming %s", err, bad)
+	}
+	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("loaded a missing file")
 	}
 }
 
 // TestDigestCanonical checks the spec digest ignores formatting and
 // source-format differences but tracks semantic ones.
 func TestDigestCanonical(t *testing.T) {
-	a, err := Decode([]byte(`{"version":1,"seed":7,"sim":{"config":"A","bench":"mcf.s","sim_instr":5000}}`), JSON)
+	a, err := Decode([]byte(`{"version":1,"seed":7,"sim":{"config":"A","bench":"mcf.s","sim_instr":5000}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decode([]byte(`{"sim":{"sim_instr":5000,"bench":"mcf.s","config":"A"},"seed":7,"version":1}`), JSON)
+	b, err := Decode([]byte(`{"sim":{"sim_instr":5000,"bench":"mcf.s","config":"A"},"seed":7,"version":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,17 +471,17 @@ func TestDigestCanonical(t *testing.T) {
 // error, and a valid selection parameterises the "mechs" study.
 func TestSweepMechanismValidation(t *testing.T) {
 	if _, err := Decode([]byte(
-		`{"version":1,"sweep":{"studies":["mechs"],"mechanisms":["nosuch"]}}`), JSON); err == nil ||
+		`{"version":1,"sweep":{"studies":["mechs"],"mechanisms":["nosuch"]}}`)); err == nil ||
 		!strings.Contains(err.Error(), "unknown mechanism") {
 		t.Errorf("unknown mechanism error = %v", err)
 	}
 	if _, err := Decode([]byte(
-		`{"version":1,"sweep":{"studies":["mechs"],"mechanisms":["proposed","proposed"]}}`), JSON); err == nil ||
+		`{"version":1,"sweep":{"studies":["mechs"],"mechanisms":["proposed","proposed"]}}`)); err == nil ||
 		!strings.Contains(err.Error(), "listed twice") {
 		t.Errorf("duplicate mechanism error = %v", err)
 	}
 	d, err := Decode([]byte(
-		`{"version":1,"sweep":{"studies":["mechs"],"mechanisms":["tscache","l2c2","proposed"]}}`), JSON)
+		`{"version":1,"sweep":{"studies":["mechs"],"mechanisms":["tscache","l2c2","proposed"]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

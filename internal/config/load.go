@@ -5,22 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/runner"
-)
-
-// Format names a spec encoding.
-type Format string
-
-const (
-	// JSON is the wire format: what POST /campaigns accepts and what
-	// Encode emits.
-	JSON Format = "json"
-	// TOML is the comment-friendly on-disk format; it converts to the
-	// same document model.
-	TOML Format = "toml"
 )
 
 // strictDecodeJSON decodes data into v rejecting unknown fields and
@@ -48,24 +34,12 @@ func marshalJSON(v any) (json.RawMessage, error) {
 	return raw, nil
 }
 
-// Decode parses a spec document in the given format, fills defaults and
-// validates it. The returned document is ready to expand.
-func Decode(data []byte, format Format) (*Document, error) {
-	jsonData := data
-	if format == TOML {
-		v, err := parseTOML(data)
-		if err != nil {
-			return nil, fmt.Errorf("config: %w", err)
-		}
-		jsonData, err = json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("config: %v", err)
-		}
-	} else if format != JSON {
-		return nil, fmt.Errorf("config: unknown spec format %q", format)
-	}
+// Decode parses a JSON spec document, fills defaults and validates it.
+// It is the one spec decoder: `-spec` files and POST /campaigns bodies
+// both come through here. The returned document is ready to expand.
+func Decode(data []byte) (*Document, error) {
 	var d Document
-	if err := strictDecodeJSON(jsonData, &d); err != nil {
+	if err := strictDecodeJSON(data, &d); err != nil {
 		return nil, fmt.Errorf("config: bad spec: %w", err)
 	}
 	d.ApplyDefaults()
@@ -76,7 +50,7 @@ func Decode(data []byte, format Format) (*Document, error) {
 }
 
 // Encode renders the document as indented canonical JSON. A document
-// round-trips: Decode(Encode(d), JSON) yields an equal document.
+// round-trips: Decode(Encode(d)) yields an equal document.
 func (d *Document) Encode() ([]byte, error) {
 	out, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
@@ -85,39 +59,26 @@ func (d *Document) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// Load reads a spec file, dispatching on extension: .json or .toml.
+// Load reads and decodes a JSON spec file.
 func Load(path string) (*Document, error) {
-	var format Format
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		format = JSON
-	case ".toml":
-		format = TOML
-	default:
-		return nil, fmt.Errorf("config: %s: unknown spec extension %q (want .json or .toml)", path, ext)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	d, err := Decode(data, format)
+	d, err := Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil
 }
 
-// ExpandBytes decodes a raw spec document (format sniffed: JSON starts
-// with '{') and expands it to a runnable campaign. It is the hook
-// `pcs serve` installs as its SpecExpander, so POST /campaigns accepts
-// exactly the documents the CLI consumes; the returned worker count is
-// the document's requested pool size (0 = server default).
+// ExpandBytes decodes a raw spec document and expands it to a runnable
+// campaign. It is the expander `pcs serve` hands runner.NewServer, so
+// POST /campaigns accepts exactly the documents the CLI consumes; the
+// returned worker count is the document's requested pool size (0 =
+// server default).
 func ExpandBytes(raw []byte) (runner.Campaign, int, error) {
-	format := TOML
-	if trimmed := bytes.TrimLeft(raw, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
-		format = JSON
-	}
-	d, err := Decode(raw, format)
+	d, err := Decode(raw)
 	if err != nil {
 		return runner.Campaign{}, 0, err
 	}

@@ -30,19 +30,26 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3aProposedDominates(t *testing.T) {
-	d, tbl, err := Fig3a(L1ConfigA(), 2)
+	sel, tbl, err := Fig3aMechs(L1ConfigA(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl == nil || len(d.Proposed) != 71 || len(d.WayGate) != 5 {
+	prop, fft := sel.Curve("proposed"), sel.Curve("fftcache")
+	var wg *MechStepCurve
+	for i := range sel.Steps {
+		if sel.Steps[i].Name == "waygate" {
+			wg = &sel.Steps[i]
+		}
+	}
+	if tbl == nil || prop == nil || fft == nil || wg == nil || len(prop.Capacity) != 71 || len(wg.Caps) != 5 {
 		t.Fatal("curve shapes")
 	}
 	// At every achievable capacity >= 50%, proposed must beat both
 	// baselines (the paper's headline Fig. 3a claim).
 	for _, target := range []float64{0.5, 0.7, 0.9, 0.95, 0.99, 0.999} {
-		pp, ok1 := PowerAtCapacity(d.Proposed, target)
-		pf, ok2 := PowerAtCapacity(d.FFTCache, target)
-		pw, ok3 := PowerAtCapacity(d.WayGate, target)
+		pp, ok1 := PowerAtCapacity(prop.Capacity, prop.PowerW, target)
+		pf, ok2 := PowerAtCapacity(fft.Capacity, fft.PowerW, target)
+		pw, ok3 := PowerAtCapacity(wg.Caps, wg.Watts, target)
 		if !ok1 {
 			t.Fatalf("proposed curve misses capacity %v", target)
 		}
@@ -78,16 +85,20 @@ func TestFig3aGapMatchesPaper(t *testing.T) {
 }
 
 func TestFig3bFFTDominates(t *testing.T) {
-	rows, _, err := Fig3b(L1ConfigA())
+	curves, _, err := Fig3bMechs(L1ConfigA(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.VDD < 0.42 {
+	prop, fft := curveByName(curves, "proposed"), curveByName(curves, "fftcache")
+	if prop == nil || fft == nil {
+		t.Fatal("default set misses proposed/fftcache")
+	}
+	for i, v := range prop.VDDs {
+		if v < 0.42 {
 			continue // below FFT's saturation cliff
 		}
-		if r.FFTCache < r.Proposed-1e-9 {
-			t.Errorf("FFT capacity below proposed at %v V", r.VDD)
+		if fft.Capacity[i] < prop.Capacity[i]-1e-9 {
+			t.Errorf("FFT capacity below proposed at %v V", v)
 		}
 	}
 }
@@ -112,31 +123,41 @@ func TestFig3cDecomposition(t *testing.T) {
 }
 
 func TestFig3dOrdering(t *testing.T) {
-	rows, _, err := Fig3d(L1ConfigA())
+	curves, _, err := Fig3dMechs(L1ConfigA(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	yield := map[string][]float64{}
+	for _, c := range curves {
+		yield[c.Name] = c.Yield
+	}
+	for _, want := range []string{"conventional", "secded", "dected", "fftcache", "proposed"} {
+		if yield[want] == nil {
+			t.Fatalf("default set misses %q", want)
+		}
+	}
+	for i, v := range curves[0].VDDs {
+		conv, sec, dec := yield["conventional"][i], yield["secded"][i], yield["dected"][i]
 		// Conventional is always the weakest; SECDED <= DECTED.
-		if r.Conventional > r.SECDED+1e-9 || r.SECDED > r.DECTED+1e-9 {
-			t.Fatalf("ECC ordering violated at %v V", r.VDD)
+		if conv > sec+1e-9 || sec > dec+1e-9 {
+			t.Fatalf("ECC ordering violated at %v V", v)
 		}
 		// Proposed beats SECDED throughout the operating region (the
 		// min-VDD comparison lives in TestMinVDDsOrdering; far below
 		// both schemes' min-VDD the yield curves may cross).
-		if r.VDD >= 0.50 && r.Proposed < r.SECDED-1e-9 {
-			t.Fatalf("proposed below SECDED at %v V", r.VDD)
+		if v >= 0.50 && yield["proposed"][i] < sec-1e-9 {
+			t.Fatalf("proposed below SECDED at %v V", v)
 		}
-		for _, y := range []float64{r.Conventional, r.SECDED, r.DECTED, r.FFTCache, r.Proposed} {
-			if y < 0 || y > 1 {
-				t.Fatalf("yield out of range at %v V", r.VDD)
+		for _, c := range curves {
+			if y := c.Yield[i]; y < 0 || y > 1 {
+				t.Fatalf("%s yield out of range at %v V", c.Name, v)
 			}
 		}
 	}
 }
 
 func TestMinVDDsOrdering(t *testing.T) {
-	rows, _, err := MinVDDs(L1ConfigA())
+	rows, _, err := MinVDDMechs(L1ConfigA(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,20 +228,17 @@ func TestVDDPlans(t *testing.T) {
 }
 
 func TestPowerAtCapacity(t *testing.T) {
-	curve := []Fig3aPoint{
-		{Capacity: 0.5, PowerW: 1},
-		{Capacity: 0.9, PowerW: 2},
-		{Capacity: 1.0, PowerW: 4},
-	}
-	p, ok := PowerAtCapacity(curve, 0.95)
+	caps := []float64{0.5, 0.9, 1.0}
+	watts := []float64{1, 2, 4}
+	p, ok := PowerAtCapacity(caps, watts, 0.95)
 	if !ok || math.Abs(p-3) > 1e-12 {
 		t.Errorf("interpolated power %v ok=%v, want 3", p, ok)
 	}
-	if _, ok := PowerAtCapacity(curve, 0.2); ok {
+	if _, ok := PowerAtCapacity(caps, watts, 0.2); ok {
 		t.Error("off-curve capacity found")
 	}
 	// Exact hit on a vertex.
-	p, ok = PowerAtCapacity(curve, 0.9)
+	p, ok = PowerAtCapacity(caps, watts, 0.9)
 	if !ok || p != 2 {
 		t.Errorf("vertex power %v", p)
 	}

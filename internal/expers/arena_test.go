@@ -114,16 +114,27 @@ func TestArenaDifferential(t *testing.T) {
 // TestAnalyticalSteadyStateAllocs pins the memo layer's steady state:
 // once warm, every analytical figure entry point must cost at most 10
 // allocations per call (the residue is interface boxing on the memo
-// lookup). The pre-memo code cost 522-1441 allocs per call.
+// lookup). The pre-memo code cost 522-1441 allocs per call. The Fig. 3
+// entry points run with the default (nil) selection, as the goldens do,
+// and with an explicit one, as `-mechanisms` does.
 func TestAnalyticalSteadyStateAllocs(t *testing.T) {
 	org := L1ConfigA()
+	explicit := []string{"tscache", "l2c2", "proposed"}
 	funcs := map[string]func() error{
-		"Fig2":           func() error { _, _ = Fig2(); return nil },
-		"Fig3aGapAt99":   func() error { _, err := Fig3aGapAt99(org, 2); return err },
-		"Fig3b":          func() error { _, _, err := Fig3b(org); return err },
-		"Fig3c":          func() error { _, _, err := Fig3c(org); return err },
-		"Fig3d":          func() error { _, _, err := Fig3d(org); return err },
-		"MinVDDs":        func() error { _, _, err := MinVDDs(org); return err },
+		"Fig2":                  func() error { _, _ = Fig2(); return nil },
+		"Fig3aMechs":            func() error { _, _, err := Fig3aMechs(org, 2, nil); return err },
+		"Fig3aGapAt99":          func() error { _, err := Fig3aGapAt99(org, 2); return err },
+		"Fig3bMechs":            func() error { _, _, err := Fig3bMechs(org, nil); return err },
+		"Fig3c":                 func() error { _, _, err := Fig3c(org); return err },
+		"Fig3dMechs":            func() error { _, _, err := Fig3dMechs(org, nil); return err },
+		"MinVDDMechs":           func() error { _, _, err := MinVDDMechs(org, nil); return err },
+		"MechanismTables":       func() error { _, err := MechanismTables(org, nil); return err },
+		"Fig3dMechs(explicit)":  func() error { _, _, err := Fig3dMechs(org, explicit); return err },
+		"MinVDDMechs(explicit)": func() error { _, _, err := MinVDDMechs(org, explicit); return err },
+		"MechanismAreas(explicit)": func() error {
+			_, _, err := MechanismAreas(org, explicit)
+			return err
+		},
 		"AreaOverheads":  func() error { _, _, err := AreaOverheads(); return err },
 		"VDDPlans":       func() error { _, _, err := VDDPlans(); return err },
 		"CellComparison": func() error { _, _, err := CellComparison(); return err },

@@ -11,14 +11,13 @@ import (
 	"repro/internal/report"
 )
 
-// This file is the registry-driven side of the Fig. 3 comparisons:
+// This file renders the Fig. 3 comparisons from the mechanism registry:
 // every mechanism registered in internal/mechanism gets per-voltage
 // curves, dynamic table columns, a min-VDD row and an area-overhead row
-// — for any selection of mechanisms. The legacy fixed-shape functions
-// (Fig3a/Fig3b/Fig3d/MinVDDs in analytical.go) are views over the
-// default selection, so the golden tables stay byte-identical while
-// `-mechanisms tscache,l2c2,proposed` renders the same table shapes for
-// any competitor set.
+// — for any selection of mechanisms. A nil selection is the paper's
+// default set, which renders the golden tables; `-mechanisms
+// tscache,l2c2,proposed` renders the same table shapes for any
+// competitor set.
 
 // MechanismSetup bridges a memoized CacheSetup to the mechanism
 // package's value-form Setup with nLowVDDs low-voltage levels.
@@ -37,13 +36,46 @@ func ResolveMechanisms(names []string) ([]mechanism.Descriptor, error) {
 	return mechanism.Resolve(names)
 }
 
-// selDigest is the canonical memo identity of a resolved selection.
-func selDigest(ds []mechanism.Descriptor) string {
-	names := make([]string, len(ds))
-	for i, d := range ds {
-		names[i] = d.Name + "@" + d.Version
+// selection is a resolved -mechanisms request: its registry entries in
+// rank order plus their canonical memo digest (name@version, joined).
+type selection struct {
+	ds     []mechanism.Descriptor
+	digest string
+}
+
+// selectionKey memoizes a selection under its names as given, joined
+// with commas; the empty string is the default set.
+type selectionKey struct{ names string }
+
+// defaultSelectionKey is boxed once, so a warm default-set figure call
+// pays no allocation for resolving its selection.
+var defaultSelectionKey any = selectionKey{}
+
+// resolveSelection resolves a selection once per distinct request:
+// Resolve and the digest run on the first call, every later call is one
+// memo lookup (the registry is fixed after init, so an entry cannot go
+// stale within one memo table).
+func resolveSelection(names []string) (selection, error) {
+	resolve := func() (selection, error) {
+		ds, err := mechanism.Resolve(names)
+		if err != nil {
+			return selection{}, err
+		}
+		ids := make([]string, len(ds))
+		for i, d := range ds {
+			ids[i] = d.Name + "@" + d.Version
+		}
+		return selection{ds: ds, digest: strings.Join(ids, ",")}, nil
 	}
-	return strings.Join(names, ",")
+	if len(names) == 0 {
+		return memo.Get(memos.Load(), defaultSelectionKey, resolve)
+	}
+	joined := strings.Join(names, ",")
+	if strings.Count(joined, ",") != len(names)-1 {
+		// A name holding a comma would alias another selection's key.
+		return resolve()
+	}
+	return memo.Get(memos.Load(), selectionKey{names: joined}, resolve)
 }
 
 // Memo keys for the registry-driven layer. Selections are keyed by
@@ -94,18 +126,6 @@ type MechCurve struct {
 	Capacity                []float64
 	PowerW                  []float64
 	Yield                   []float64
-}
-
-// Points converts the curve to Fig. 3a (capacity, power) samples.
-func (c *MechCurve) Points() []Fig3aPoint {
-	if c == nil {
-		return nil
-	}
-	pts := make([]Fig3aPoint, len(c.VDDs))
-	for i := range c.VDDs {
-		pts[i] = Fig3aPoint{VDD: c.VDDs[i], Capacity: c.Capacity[i], PowerW: c.PowerW[i]}
-	}
-	return pts
 }
 
 // mechCurveFor memoizes one mechanism's full per-voltage curve.
@@ -201,21 +221,21 @@ func curveByName(cs []*MechCurve, name string) *MechCurve {
 // nLowVDDs configures how many low-voltage levels map-carrying schemes
 // pay for (2 reproduces the paper's three-level comparison).
 func Fig3aMechs(org cacti.Org, nLowVDDs int, names []string) (Fig3aSelData, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	sel, err := resolveSelection(names)
 	if err != nil {
 		return Fig3aSelData{}, nil, err
 	}
-	key := fig3aMechsKey{org: org, nLowVDDs: nLowVDDs, sel: selDigest(ds)}
+	key := fig3aMechsKey{org: org, nLowVDDs: nLowVDDs, sel: sel.digest}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[Fig3aSelData], error) {
 		data := Fig3aSelData{Org: org.Name}
-		for _, d := range scalersOf(ds) {
+		for _, d := range scalersOf(sel.ds) {
 			c, err := mechCurveFor(org, nLowVDDs, d)
 			if err != nil {
 				return rowsAndTable[Fig3aSelData]{}, err
 			}
 			data.Curves = append(data.Curves, c)
 		}
-		for _, d := range steppersOf(ds) {
+		for _, d := range steppersOf(sel.ds) {
 			m, err := mechanismFor(org, nLowVDDs, d)
 			if err != nil {
 				return rowsAndTable[Fig3aSelData]{}, err
@@ -249,14 +269,14 @@ func Fig3aMechs(org cacti.Org, nLowVDDs int, names []string) (Fig3aSelData, *rep
 // Fig3bMechs renders Fig. 3b — proportion of usable blocks vs VDD —
 // for any mechanism selection (nil = default set).
 func Fig3bMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	sel, err := resolveSelection(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fig3bMechsKey{org: org, sel: selDigest(ds)}
+	key := fig3bMechsKey{org: org, sel: sel.digest}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]*MechCurve], error) {
 		var curves []*MechCurve
-		for _, d := range scalersOf(ds) {
+		for _, d := range scalersOf(sel.ds) {
 			c, err := mechCurveFor(org, 2, d)
 			if err != nil {
 				return rowsAndTable[[]*MechCurve]{}, err
@@ -285,14 +305,14 @@ func Fig3bMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, err
 // Fig3dMechs renders Fig. 3d — yield vs VDD — for any mechanism
 // selection (nil = default set), weakest scheme first.
 func Fig3dMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	sel, err := resolveSelection(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fig3dMechsKey{org: org, sel: selDigest(ds)}
+	key := fig3dMechsKey{org: org, sel: sel.digest}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]*MechCurve], error) {
 		var curves []*MechCurve
-		for _, d := range yieldersOf(ds) {
+		for _, d := range yieldersOf(sel.ds) {
 			c, err := mechCurveFor(org, 2, d)
 			if err != nil {
 				return rowsAndTable[[]*MechCurve]{}, err
@@ -318,17 +338,24 @@ func Fig3dMechs(org cacti.Org, names []string) ([]*MechCurve, *report.Table, err
 	return v.rows, v.t, err
 }
 
+// MinVDDRow summarises one scheme's min-VDD at 99 % yield for one org.
+type MinVDDRow struct {
+	Scheme string
+	MinVDD float64
+	OK     bool
+}
+
 // MinVDDMechs computes each selected mechanism's minimum voltage at
 // 99 % yield (nil = default set), weakest scheme first.
 func MinVDDMechs(org cacti.Org, names []string) ([]MinVDDRow, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	sel, err := resolveSelection(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := minVDDMechsKey{org: org, sel: selDigest(ds)}
+	key := minVDDMechsKey{org: org, sel: sel.digest}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]MinVDDRow], error) {
 		rows := []MinVDDRow{}
-		for _, d := range yieldersOf(ds) {
+		for _, d := range yieldersOf(sel.ds) {
 			m, err := mechanismFor(org, 2, d)
 			if err != nil {
 				return rowsAndTable[[]MinVDDRow]{}, err
@@ -359,16 +386,16 @@ type MechAreaRow struct {
 // MechanismAreas reports each selected mechanism's area overhead on the
 // organisation (nil = default set), in rank order.
 func MechanismAreas(org cacti.Org, names []string) ([]MechAreaRow, *report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	sel, err := resolveSelection(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := mechAreasKey{org: org, sel: selDigest(ds)}
+	key := mechAreasKey{org: org, sel: sel.digest}
 	v, err := memo.Get(memos.Load(), key, func() (rowsAndTable[[]MechAreaRow], error) {
 		var rows []MechAreaRow
 		t := report.NewTable(fmt.Sprintf("Mechanism area overheads (%s)", org.Name),
 			"Mechanism", "Overhead %", "Adds")
-		for _, d := range ds {
+		for _, d := range sel.ds {
 			m, err := mechanismFor(org, 2, d)
 			if err != nil {
 				return rowsAndTable[[]MechAreaRow]{}, err
@@ -387,14 +414,14 @@ func MechanismAreas(org cacti.Org, names []string) ([]MechAreaRow, *report.Table
 // rank order. Mechanisms without extra tables contribute nothing — the
 // default set contributes none, keeping the golden output untouched.
 func MechanismTables(org cacti.Org, names []string) ([]*report.Table, error) {
-	ds, err := ResolveMechanisms(names)
+	sel, err := resolveSelection(names)
 	if err != nil {
 		return nil, err
 	}
-	key := mechTablesKey{org: org, sel: selDigest(ds)}
+	key := mechTablesKey{org: org, sel: sel.digest}
 	v, err := memo.Get(memos.Load(), key, func() ([]*report.Table, error) {
 		var tables []*report.Table
-		for _, d := range ds {
+		for _, d := range sel.ds {
 			m, err := mechanismFor(org, 2, d)
 			if err != nil {
 				return nil, err

@@ -2,7 +2,6 @@ package expers
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -131,57 +130,18 @@ func TestMechStudyCoversRegistry(t *testing.T) {
 	}
 }
 
-// TestDefaultSelectionMatchesLegacy pins the registry-driven tables for
-// an explicit default-set selection to the legacy fixed-shape tables
-// the golden analytical output is generated from.
-func TestDefaultSelectionMatchesLegacy(t *testing.T) {
-	org := L1ConfigA()
-	defaults := mechanism.DefaultNames()
-
-	_, legacy3a, err := Fig3a(org, 2)
-	if err != nil {
-		t.Fatalf("Fig3a: %v", err)
-	}
-	_, sel3a, err := Fig3aMechs(org, 2, defaults)
-	if err != nil {
-		t.Fatalf("Fig3aMechs(defaults): %v", err)
-	}
-	if !reflect.DeepEqual(legacy3a, sel3a) {
-		t.Errorf("Fig. 3a tables differ:\nlegacy  %v\ndefault %v", legacy3a.Headers, sel3a.Headers)
-	}
-
-	_, legacy3d, err := Fig3d(org)
-	if err != nil {
-		t.Fatalf("Fig3d: %v", err)
-	}
-	_, sel3d, err := Fig3dMechs(org, defaults)
-	if err != nil {
-		t.Fatalf("Fig3dMechs(defaults): %v", err)
-	}
-	if !reflect.DeepEqual(legacy3d, sel3d) {
-		t.Errorf("Fig. 3d tables differ:\nlegacy  %v\ndefault %v", legacy3d.Headers, sel3d.Headers)
-	}
-
-	_, legacyMin, err := MinVDDs(org)
-	if err != nil {
-		t.Fatalf("MinVDDs: %v", err)
-	}
-	_, selMin, err := MinVDDMechs(org, defaults)
-	if err != nil {
-		t.Fatalf("MinVDDMechs(defaults): %v", err)
-	}
-	if !reflect.DeepEqual(legacyMin, selMin) {
-		t.Errorf("min-VDD tables differ:\nlegacy  %v\ndefault %v", legacyMin.Rows, selMin.Rows)
-	}
-
-	// The default set contributes no scheme-specific extra tables, so
-	// the golden fig3d section cannot grow.
-	extra, err := MechanismTables(org, defaults)
-	if err != nil {
-		t.Fatalf("MechanismTables(defaults): %v", err)
-	}
-	if len(extra) != 0 {
-		t.Errorf("default set has %d extra tables, want 0 (golden output would change)", len(extra))
+// TestDefaultSetAddsNoTables pins that the paper's default set
+// contributes no scheme-specific extra tables, so the golden fig3d
+// section of `pcs analytical` cannot grow.
+func TestDefaultSetAddsNoTables(t *testing.T) {
+	for _, names := range [][]string{nil, mechanism.DefaultNames()} {
+		extra, err := MechanismTables(L1ConfigA(), names)
+		if err != nil {
+			t.Fatalf("MechanismTables(%v): %v", names, err)
+		}
+		if len(extra) != 0 {
+			t.Errorf("MechanismTables(%v) has %d extra tables, want 0 (golden output would change)", names, len(extra))
+		}
 	}
 }
 

@@ -54,34 +54,6 @@ type Fig4Data struct {
 	Rows   []Fig4Row
 }
 
-// Fig4 runs the 16-benchmark suite under baseline, SPCS and DPCS for the
-// given configuration. Progress lines go to progress when non-nil.
-func Fig4(cfg cpusim.SystemConfig, opts cpusim.RunOptions, progress io.Writer) (Fig4Data, error) {
-	data := Fig4Data{Config: cfg.Name}
-	for _, w := range trace.Suite() {
-		row := Fig4Row{Workload: w.Name}
-		for _, mode := range []core.Mode{core.Baseline, core.SPCS, core.DPCS} {
-			res, err := cpusim.Run(cfg, mode, w, opts)
-			if err != nil {
-				return Fig4Data{}, fmt.Errorf("expers: %s/%s/%v: %w", cfg.Name, w.Name, mode, err)
-			}
-			switch mode {
-			case core.Baseline:
-				row.Baseline = res
-			case core.SPCS:
-				row.SPCS = res
-			case core.DPCS:
-				row.DPCS = res
-			}
-			if progress != nil {
-				fmt.Fprintf(progress, "  %s\n", res)
-			}
-		}
-		data.Rows = append(data.Rows, row)
-	}
-	return data, nil
-}
-
 // Fig4CellParams parameterise one "fig4-cell" job: a single
 // workload × mode cell of the Fig. 4 grid. Unlike CPUSimParams (which
 // names a canned config), the cell embeds its full SystemConfig, so the
@@ -186,11 +158,11 @@ func Fig4Grid(ctx context.Context, cfg cpusim.SystemConfig, opts cpusim.RunOptio
 
 // Fig4GridWorkloads is Fig4Grid over an explicit workload list.
 //
-// Every cell is an independent simulation pinned to opts.Seed, exactly
-// as Fig4's serial loop runs it — cpusim's concurrency contract permits
-// one System per goroutine — so the assembled Fig4Data is
-// byte-identical to Fig4's regardless of worker count, completion
-// order, or cache hits; only wall-clock time changes.
+// Every cell is an independent simulation pinned to opts.Seed —
+// cpusim's concurrency contract permits one System per goroutine — so
+// the assembled Fig4Data is byte-identical to a serial cpusim.Run loop
+// over the same cells regardless of worker count, completion order, or
+// cache hits; only wall-clock time changes.
 func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, gopts GridOptions) (Fig4Data, GridStats, error) {
 	modes := []core.Mode{core.Baseline, core.SPCS, core.DPCS}
 	jobs := make([]runner.Spec, 0, len(workloads)*len(modes))
@@ -255,20 +227,6 @@ func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads [
 		})
 	}
 	return data, stats, nil
-}
-
-// Fig4Parallel runs the same workload×mode grid as Fig4, fanned out
-// over the worker pool without caching; see Fig4Grid for the memoized
-// form.
-func Fig4Parallel(ctx context.Context, cfg cpusim.SystemConfig, opts cpusim.RunOptions, workers int, progress io.Writer) (Fig4Data, error) {
-	return Fig4ParallelWorkloads(ctx, cfg, trace.Suite(), opts, workers, progress)
-}
-
-// Fig4ParallelWorkloads is Fig4Parallel over an explicit workload list;
-// benchmarks use it to run representative subsets of the suite.
-func Fig4ParallelWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, workers int, progress io.Writer) (Fig4Data, error) {
-	data, _, err := Fig4GridWorkloads(ctx, cfg, workloads, opts, GridOptions{Workers: workers, Progress: progress})
-	return data, err
 }
 
 // Summary aggregates a configuration's Fig. 4 data into the paper's

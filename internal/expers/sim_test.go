@@ -117,7 +117,7 @@ func TestFig4RunsWholeSuiteSmoke(t *testing.T) {
 	}
 	cfg := cpusim.ConfigA()
 	opts := cpusim.RunOptions{WarmupInstr: 20_000, SimInstr: 60_000, Seed: 1}
-	d, err := Fig4(cfg, opts, nil)
+	d, _, err := Fig4Grid(context.Background(), cfg, opts, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestFig4RunsWholeSuiteSmoke(t *testing.T) {
 }
 
 // TestFig4ParallelMatchesSerial asserts the worker-pool grid produces
-// byte-identical Fig4Data to the serial loop: every cell pins the same
-// RunOptions.Seed and owns its own System, so worker count and
-// completion order cannot influence any simulated result.
+// byte-identical Fig4Data to an inline serial cpusim.Run loop: every
+// cell pins the same RunOptions.Seed and owns its own System, so worker
+// count and completion order cannot influence any simulated result.
 func TestFig4ParallelMatchesSerial(t *testing.T) {
 	cfg := cpusim.ConfigA()
 	opts := cpusim.RunOptions{WarmupInstr: 20_000, SimInstr: 80_000, Seed: 7}
@@ -162,7 +162,7 @@ func TestFig4ParallelMatchesSerial(t *testing.T) {
 		serial.Rows = append(serial.Rows, row)
 	}
 	for _, workers := range []int{1, 4} {
-		parallel, err := Fig4ParallelWorkloads(context.Background(), cfg, workloads, opts, workers, nil)
+		parallel, _, err := Fig4GridWorkloads(context.Background(), cfg, workloads, opts, GridOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

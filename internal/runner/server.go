@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -32,10 +31,10 @@ import (
 //	GET    /healthz                 liveness probe
 //	GET    /readyz                  drain-aware readiness probe
 //
-// POST /campaigns accepts two body shapes: the raw submitRequest job
-// list, and — when ServerOptions.SpecExpander is installed — the same
-// declarative experiment-spec document the pcs CLI consumes (JSON or
-// TOML, distinguished by the top-level "version" key).
+// The server parses no body format itself: every POST /campaigns body
+// goes to the expander given to NewServer, which lowers it to a
+// campaign (production passes config.ExpandBytes, so the body is the
+// same experiment-spec document the pcs CLI consumes).
 //
 // Campaigns execute asynchronously on the server's worker pools; status
 // and partial results are available while a campaign runs. All state is
@@ -49,9 +48,9 @@ type Server struct {
 	// artifactRoot, when non-empty, gives every campaign a run
 	// directory under <artifactRoot>/<id>/.
 	artifactRoot string
-	// specExpander lowers a declarative experiment spec (the document
-	// the pcs CLI consumes) to a campaign; see ServerOptions.
-	specExpander func(raw []byte) (Campaign, int, error)
+	// expand lowers a POST /campaigns body to its campaign and
+	// requested worker count; see NewServer.
+	expand func(body []byte) (Campaign, int, error)
 	// cache, when non-nil, memoizes cell results across campaigns — the
 	// shared-service payoff: two users submitting overlapping sweeps
 	// compute each cell once.
@@ -89,15 +88,6 @@ type ServerOptions struct {
 	// Logger, when non-nil, receives structured operational logs
 	// (submissions, completions, response-write failures). Nil discards.
 	Logger *slog.Logger
-	// SpecExpander, when non-nil, lets POST /campaigns accept the
-	// declarative experiment-spec documents the pcs CLI consumes (the
-	// internal/config layer): a body that carries a top-level "version"
-	// key — or is not a JSON object at all (a TOML spec) — is expanded
-	// to its campaign through this hook. The returned worker count is
-	// the document's requested pool size (0 = server default). The hook
-	// is injected rather than imported because internal/config depends
-	// on this package.
-	SpecExpander func(raw []byte) (Campaign, int, error)
 	// Cache, when non-nil, is passed to every campaign execution as
 	// Options.Cache and surfaces resultstore_* families at /metrics.
 	Cache ResultCache
@@ -235,8 +225,15 @@ func (cs *campaignState) appendEventLocked(ev obs.JobEvent) {
 	cs.events = append(cs.events, ev)
 }
 
-// NewServer returns a server executing campaigns against reg.
-func NewServer(reg *Registry, opts ServerOptions) *Server {
+// NewServer returns a server executing campaigns against reg. expand
+// lowers every POST /campaigns body to its campaign and the requested
+// pool size (0 = server default); its error becomes the 400 response.
+// Production passes config.ExpandBytes — injected rather than imported
+// because internal/config depends on this package.
+func NewServer(reg *Registry, expand func(body []byte) (Campaign, int, error), opts ServerOptions) *Server {
+	if expand == nil {
+		panic("runner: NewServer needs a body expander")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	log := opts.Logger
 	if log == nil {
@@ -250,7 +247,7 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 		reg:            reg,
 		defaultWorkers: opts.DefaultWorkers,
 		artifactRoot:   opts.ArtifactRoot,
-		specExpander:   opts.SpecExpander,
+		expand:         expand,
 		cache:          opts.Cache,
 		codeVersion:    opts.CodeVersion,
 		traceSpans:     opts.TraceSpans,
@@ -341,53 +338,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSONResponse(w, map[string]string{"status": "ready"})
 }
 
-// submitRequest is the POST /campaigns body.
-type submitRequest struct {
-	Name    string `json:"name"`
-	Seed    uint64 `json:"seed"`
-	Workers int    `json:"workers,omitempty"`
-	Jobs    []Spec `json:"jobs"`
-}
-
-// isSpecDocument reports whether a POST /campaigns body is a
-// declarative experiment spec rather than a legacy submitRequest: any
-// non-JSON-object body (a TOML spec), or a JSON object carrying the
-// spec schema's top-level "version" key.
-func isSpecDocument(body []byte) bool {
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) == 0 || trimmed[0] != '{' {
-		return true
-	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	return json.Unmarshal(body, &probe) == nil && probe.Version != 0
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read campaign body: %v", err)
 		return
 	}
-	var camp Campaign
-	var workers int
-	if s.specExpander != nil && isSpecDocument(body) {
-		camp, workers, err = s.specExpander(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad spec: %v", err)
-			return
-		}
-	} else {
-		var req submitRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad campaign body: %v", err)
-			return
-		}
-		camp = Campaign{Name: req.Name, Seed: req.Seed, Jobs: req.Jobs}
-		workers = req.Workers
+	camp, workers, err := s.expand(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
+		return
 	}
 	if len(camp.Jobs) == 0 {
 		httpError(w, http.StatusBadRequest, "campaign has no jobs")

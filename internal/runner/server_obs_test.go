@@ -51,7 +51,7 @@ func TestMetricsExposition(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, fmt.Sprintf(`{"kind":"square","params":{"x":%d}}`, i))
 	}
-	id := submit(t, ts, fmt.Sprintf(`{"name":"m","seed":1,"jobs":[%s]}`, strings.Join(jobs, ",")))
+	id := submit(t, ts, fmt.Sprintf(`{"version":1,"name":"m","seed":1,"campaign":{"jobs":[%s]}}`, strings.Join(jobs, ",")))
 	waitForState(t, ts, id, "done")
 
 	out := scrapeMetrics(t, ts)
@@ -80,11 +80,11 @@ func TestMetricsExposition(t *testing.T) {
 // TestMetricsCountFailures checks the per-kind error counter and that
 // failed jobs still land in the duration histogram.
 func TestMetricsCountFailures(t *testing.T) {
-	srv := NewServer(testRegistry(t), ServerOptions{DefaultWorkers: 2})
+	srv := NewServer(testRegistry(t), fixtureExpand, ServerOptions{DefaultWorkers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	id := submit(t, ts, `{"name":"f","seed":1,"jobs":[{"kind":"fail"},{"kind":"fail"},{"kind":"drawsum","params":{"draws":10}}]}`)
+	id := submit(t, ts, `{"version":1,"name":"f","seed":1,"campaign":{"jobs":[{"kind":"fail"},{"kind":"fail"},{"kind":"drawsum","params":{"draws":10}}]}}`)
 	waitForState(t, ts, id, "done")
 
 	out := scrapeMetrics(t, ts)
@@ -108,7 +108,7 @@ func TestMetricsCountFailures(t *testing.T) {
 // terminal event per job, and close with campaign_finished.
 func TestServerEventsStream(t *testing.T) {
 	_, ts := newTestServer(t)
-	id := submit(t, ts, `{"name":"ev","seed":3,"jobs":[{"kind":"square","params":{"x":1}},{"kind":"square","params":{"x":2}}]}`)
+	id := submit(t, ts, `{"version":1,"name":"ev","seed":3,"campaign":{"jobs":[{"kind":"square","params":{"x":1}},{"kind":"square","params":{"x":2}}]}}`)
 
 	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/events")
 	if err != nil {
@@ -170,13 +170,13 @@ func TestServerEventsStream(t *testing.T) {
 // completion with the campaign id.
 func TestServerLogging(t *testing.T) {
 	var buf bytes.Buffer
-	srv := NewServer(serverRegistry(t), ServerOptions{
+	srv := NewServer(serverRegistry(t), fixtureExpand, ServerOptions{
 		DefaultWorkers: 2,
 		Logger:         slog.New(slog.NewTextHandler(&syncWriter{w: &buf}, nil)),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	id := submit(t, ts, `{"name":"logged","seed":1,"jobs":[{"kind":"square","params":{"x":2}}]}`)
+	id := submit(t, ts, `{"version":1,"name":"logged","seed":1,"campaign":{"jobs":[{"kind":"square","params":{"x":2}}]}}`)
 	waitForState(t, ts, id, "done")
 	srv.Close()
 	out := buf.String()

@@ -18,9 +18,8 @@ import (
 
 func newSpecServer(t *testing.T) (*runner.Server, *httptest.Server) {
 	t.Helper()
-	srv := runner.NewServer(expers.NewCampaignRegistry(), runner.ServerOptions{
+	srv := runner.NewServer(expers.NewCampaignRegistry(), config.ExpandBytes, runner.ServerOptions{
 		DefaultWorkers: 2,
-		SpecExpander:   config.ExpandBytes,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -142,8 +141,26 @@ func TestSubmitSpecDocument(t *testing.T) {
 	}
 }
 
-// TestSubmitSpecTOML checks the TOML form of the same document is
-// sniffed and expanded.
+// postStatus posts a body to /campaigns and returns the response status
+// and its "error" message.
+func postStatus(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Error string `json:"error"`
+	}
+	// A non-JSON response leaves the message empty, which fails every
+	// caller that checks it.
+	_ = json.NewDecoder(resp.Body).Decode(&out)
+	return resp.StatusCode, out.Error
+}
+
+// TestSubmitSpecTOML checks a TOML spec body is refused with a 400
+// instead of being queued: the one spec decoder is JSON only.
 func TestSubmitSpecTOML(t *testing.T) {
 	_, ts := newSpecServer(t)
 	spec := `
@@ -152,22 +169,8 @@ version = 1
 [[campaign.jobs]]
 kind = "cells"
 `
-	resp, err := http.Post(ts.URL+"/campaigns", "application/toml", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit TOML spec: status %d", resp.StatusCode)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	if status := waitDone(t, ts, sub.ID); status["state"] != "done" {
-		t.Fatalf("state = %v", status["state"])
+	if code, msg := postStatus(t, ts, spec); code != http.StatusBadRequest || !strings.Contains(msg, "bad spec") {
+		t.Fatalf("submit TOML spec: status %d %q, want 400 bad spec", code, msg)
 	}
 }
 
@@ -179,41 +182,24 @@ func TestSubmitSpecRejected(t *testing.T) {
 		`{"version": 2, "campaign": {"jobs": [{"kind": "cells"}]}}`,
 		`{"version": 1, "campaign": {"jobs": [{"kind": "nope"}]}}`,
 		`{"version": 1, "campaign": {"jobs": [{"kind": "cells", "params": {"bogus": 1}}]}}`,
+		`{"campaign": {"jobs": [{"kind": "cells"}]}}`,
 		`version = 1`,
 		`not toml at [[ all`,
 	} {
-		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submit %q: status %d, want 400", body, resp.StatusCode)
+		if code, _ := postStatus(t, ts, body); code != http.StatusBadRequest {
+			t.Errorf("submit %q: status %d, want 400", body, code)
 		}
 	}
 }
 
-// TestLegacySubmitStillWorks pins that the old low-level job-list body
-// (no "version" key) keeps routing through the strict legacy decoder.
-func TestLegacySubmitStillWorks(t *testing.T) {
+// TestLegacySubmitRejected pins that the old low-level job-list body
+// (no "version", jobs at the top level) gets a 400 naming the unknown
+// field; the same jobs run as a spec with a "campaign" section.
+func TestLegacySubmitRejected(t *testing.T) {
 	_, ts := newSpecServer(t)
 	body := `{"name": "legacy", "seed": 3, "jobs": [{"kind": "cells", "name": "c", "params": {}}]}`
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy submit: status %d", resp.StatusCode)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	status := waitDone(t, ts, sub.ID)
-	if status["state"] != "done" || status["name"] != "legacy" {
-		t.Fatalf("legacy campaign status = %v", status)
+	code, msg := postStatus(t, ts, body)
+	if code != http.StatusBadRequest || !strings.Contains(msg, `unknown field "jobs"`) {
+		t.Fatalf("legacy submit: status %d %q, want 400 naming the unknown field", code, msg)
 	}
 }

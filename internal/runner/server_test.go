@@ -34,9 +34,35 @@ func serverRegistry(t *testing.T) *Registry {
 	return reg
 }
 
+// fixtureExpand stands in for config.ExpandBytes, which this package
+// cannot import: it strict-decodes the campaign-section shape of a spec
+// document, {"version":1,"name","seed","workers","campaign":{"jobs"}},
+// without the config layer's per-kind parameter checks, so the test-only
+// kinds above can be submitted.
+func fixtureExpand(body []byte) (Campaign, int, error) {
+	var doc struct {
+		Version  int    `json:"version"`
+		Name     string `json:"name"`
+		Seed     uint64 `json:"seed"`
+		Workers  int    `json:"workers"`
+		Campaign struct {
+			Jobs []Spec `json:"jobs"`
+		} `json:"campaign"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		return Campaign{}, 0, err
+	}
+	if doc.Version != 1 {
+		return Campaign{}, 0, fmt.Errorf("unsupported spec version %d", doc.Version)
+	}
+	return Campaign{Name: doc.Name, Seed: doc.Seed, Jobs: doc.Campaign.Jobs}, doc.Workers, nil
+}
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(serverRegistry(t), ServerOptions{DefaultWorkers: 4})
+	srv := NewServer(serverRegistry(t), fixtureExpand, ServerOptions{DefaultWorkers: 4})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -110,7 +136,7 @@ func TestServerSubmitPollResults(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		jobs = append(jobs, fmt.Sprintf(`{"kind":"square","name":"sq-%d","params":{"x":%d}}`, i, i))
 	}
-	id := submit(t, ts, fmt.Sprintf(`{"name":"squares","seed":7,"jobs":[%s]}`, strings.Join(jobs, ",")))
+	id := submit(t, ts, fmt.Sprintf(`{"version":1,"name":"squares","seed":7,"campaign":{"jobs":[%s]}}`, strings.Join(jobs, ",")))
 
 	v := waitForState(t, ts, id, "done")
 	if v.Progress.Done != 5 || v.Progress.Failed != 0 {
@@ -177,10 +203,10 @@ func TestServerValidation(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post(`{"name":"x","jobs":[]}`); code != http.StatusBadRequest {
+	if code := post(`{"version":1,"name":"x","campaign":{"jobs":[]}}`); code != http.StatusBadRequest {
 		t.Fatalf("empty jobs: status %d", code)
 	}
-	if code := post(`{"name":"x","jobs":[{"kind":"nope"}]}`); code != http.StatusBadRequest {
+	if code := post(`{"version":1,"name":"x","campaign":{"jobs":[{"kind":"nope"}]}}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown kind: status %d", code)
 	}
 	if code := post(`not json`); code != http.StatusBadRequest {
@@ -199,7 +225,7 @@ func TestServerValidation(t *testing.T) {
 // TestServerCancel submits a blocking campaign and cancels it over HTTP.
 func TestServerCancel(t *testing.T) {
 	_, ts := newTestServer(t)
-	id := submit(t, ts, `{"name":"stuck","jobs":[{"kind":"block"},{"kind":"block"}]}`)
+	id := submit(t, ts, `{"version":1,"name":"stuck","campaign":{"jobs":[{"kind":"block"},{"kind":"block"}]}}`)
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+id, nil)
 	if err != nil {
@@ -222,10 +248,10 @@ func TestServerCancel(t *testing.T) {
 // TestServerCloseDrains checks Close unblocks running campaigns — the
 // SIGTERM drain path.
 func TestServerCloseDrains(t *testing.T) {
-	srv := NewServer(serverRegistry(t), ServerOptions{})
+	srv := NewServer(serverRegistry(t), fixtureExpand, ServerOptions{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	id := submit(t, ts, `{"name":"stuck","jobs":[{"kind":"block"}]}`)
+	id := submit(t, ts, `{"version":1,"name":"stuck","campaign":{"jobs":[{"kind":"block"}]}}`)
 
 	done := make(chan struct{})
 	go func() {
@@ -243,7 +269,7 @@ func TestServerCloseDrains(t *testing.T) {
 	}
 	// New submissions are refused during/after shutdown.
 	resp, err := http.Post(ts.URL+"/campaigns", "application/json",
-		strings.NewReader(`{"name":"late","jobs":[{"kind":"square","params":{"x":1}}]}`))
+		strings.NewReader(`{"version":1,"name":"late","campaign":{"jobs":[{"kind":"square","params":{"x":1}}]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +282,8 @@ func TestServerCloseDrains(t *testing.T) {
 // TestServerList checks the campaign listing endpoint.
 func TestServerList(t *testing.T) {
 	_, ts := newTestServer(t)
-	submit(t, ts, `{"name":"a","jobs":[{"kind":"square","params":{"x":2}}]}`)
-	submit(t, ts, `{"name":"b","jobs":[{"kind":"square","params":{"x":3}}]}`)
+	submit(t, ts, `{"version":1,"name":"a","campaign":{"jobs":[{"kind":"square","params":{"x":2}}]}}`)
+	submit(t, ts, `{"version":1,"name":"b","campaign":{"jobs":[{"kind":"square","params":{"x":3}}]}}`)
 	resp, err := http.Get(ts.URL + "/campaigns")
 	if err != nil {
 		t.Fatal(err)

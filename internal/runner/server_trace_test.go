@@ -48,7 +48,7 @@ func readSpanStream(t *testing.T, ts *httptest.Server, id string) []tracez.Span 
 // one campaign span plus a job span per job, and an event stream that
 // terminates with campaign_finished.
 func TestServerSpansStreamConcurrent(t *testing.T) {
-	srv := NewServer(serverRegistry(t), ServerOptions{DefaultWorkers: 4, TraceSpans: true})
+	srv := NewServer(serverRegistry(t), fixtureExpand, ServerOptions{DefaultWorkers: 4, TraceSpans: true})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
@@ -57,7 +57,7 @@ func TestServerSpansStreamConcurrent(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		specs = append(specs, fmt.Sprintf(`{"kind":"square","params":{"x":%d}}`, i))
 	}
-	id := submit(t, ts, fmt.Sprintf(`{"name":"traced","seed":9,"jobs":[%s]}`, strings.Join(specs, ",")))
+	id := submit(t, ts, fmt.Sprintf(`{"version":1,"name":"traced","seed":9,"campaign":{"jobs":[%s]}}`, strings.Join(specs, ",")))
 
 	const readers = 3
 	spanStreams := make([][]tracez.Span, readers)
@@ -146,7 +146,7 @@ func TestServerSpansStreamConcurrent(t *testing.T) {
 // when the campaign finishes; unknown campaigns 404.
 func TestServerSpansDisabled(t *testing.T) {
 	_, ts := newTestServer(t)
-	id := submit(t, ts, `{"name":"plain","jobs":[{"kind":"square","params":{"x":2}}]}`)
+	id := submit(t, ts, `{"version":1,"name":"plain","campaign":{"jobs":[{"kind":"square","params":{"x":2}}]}}`)
 	waitForState(t, ts, id, "done")
 	if spans := readSpanStream(t, ts, id); len(spans) != 0 {
 		t.Fatalf("untraced server streamed %d spans", len(spans))
@@ -168,16 +168,16 @@ func TestServerSpansDisabled(t *testing.T) {
 // the process exits.
 func TestBeginDrainFlushesArtifacts(t *testing.T) {
 	root := t.TempDir()
-	srv := NewServer(serverRegistry(t), ServerOptions{
+	srv := NewServer(serverRegistry(t), fixtureExpand, ServerOptions{
 		DefaultWorkers: 2, ArtifactRoot: root, TraceSpans: true,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
 	// Two fast jobs complete, two block: the campaign is mid-flight.
-	id := submit(t, ts, `{"name":"drainme","seed":1,"jobs":[
+	id := submit(t, ts, `{"version":1,"name":"drainme","seed":1,"campaign":{"jobs":[
 		{"kind":"square","params":{"x":1}},{"kind":"square","params":{"x":2}},
-		{"kind":"block"},{"kind":"block"}]}`)
+		{"kind":"block"},{"kind":"block"}]}}`)
 	waitForJobsDone(t, ts, id, 2)
 
 	srv.BeginDrain()

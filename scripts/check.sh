@@ -40,11 +40,20 @@ go test -count=1 -race -run 'TestTableConcurrentReads' ./internal/memo
 
 # Mechanism-registry gates (DESIGN.md §14): every registered mechanism
 # must surface in the Fig. 3 comparison surfaces its capability flags
-# promise, the "mechs" study must cover the registry, and the adapters
-# must reproduce the pre-registry model call paths float-for-float.
-go test -count=1 -run 'TestRegistryCompleteness|TestMechStudyCoversRegistry|TestDefaultSelectionMatchesLegacy' ./internal/expers
+# promise, the "mechs" study must cover the registry, the default set
+# must add no extra tables, the default selection must print the
+# analytical golden byte for byte (in process, through pcs analytical),
+# and the adapters must reproduce the pre-registry model call paths
+# float-for-float.
+go test -count=1 -run 'TestRegistryCompleteness|TestMechStudyCoversRegistry|TestDefaultSetAddsNoTables' ./internal/expers
+go test -count=1 -run 'TestAnalyticalGolden|TestAnalyticalUnknownMechanism' ./cmd/pcs
 go test -count=1 -run 'TestAdapterDifferential' ./internal/mechanism
 go test -count=1 -run 'TestKeyGoldenFixtures|TestKeyMechVersionBump' ./internal/resultstore
+
+# Spec-decoder gate: the seed corpus of the one decoder behind -spec and
+# POST /campaigns (round-trip documents plus examples/*.json) must
+# decode without panics and re-encode to a fixed point.
+go test -count=1 -run 'FuzzDecode|TestRoundTripStability' ./internal/config
 
 # Campaign-cell throughput smoke: one cold and one warm pass of the
 # mixed grid so the end-to-end cells/sec benchmark stays runnable; the
