@@ -3,6 +3,9 @@
 // cmd tools use (internal/expers). Benchmarks report the figure's
 // headline quantity as custom metrics, so `go test -bench=. -benchmem`
 // both times the experiment pipeline and regenerates the key numbers.
+// The analytical benchmarks (Fig. 2, Fig. 3a–d, area, min-VDD) drop
+// the expers memo table at every iteration, so they time the
+// computation rather than a memo hit.
 //
 // Simulation-backed benchmarks (Fig. 4) run scaled-down instruction
 // windows to keep bench time reasonable; the full-scale official run is
@@ -27,6 +30,7 @@ import (
 func BenchmarkFig2BER(b *testing.B) {
 	var pts []expers.Fig2Point
 	for i := 0; i < b.N; i++ {
+		expers.ResetMemos()
 		pts, _ = expers.Fig2()
 	}
 	b.ReportMetric(pts[len(pts)-1].BER*1e12, "BER@1.0V(e-12)")
@@ -39,6 +43,7 @@ func BenchmarkFig2BER(b *testing.B) {
 func BenchmarkFig3aPowerCapacity(b *testing.B) {
 	var gap3 float64
 	for i := 0; i < b.N; i++ {
+		expers.ResetMemos()
 		var err error
 		gap3, err = expers.Fig3aGapAt99(expers.L1ConfigA(), 2)
 		if err != nil {
@@ -52,6 +57,7 @@ func BenchmarkFig3aPowerCapacity(b *testing.B) {
 func BenchmarkFig3bCapacity(b *testing.B) {
 	var curves []*expers.MechCurve
 	for i := 0; i < b.N; i++ {
+		expers.ResetMemos()
 		var err error
 		curves, _, err = expers.Fig3bMechs(expers.L1ConfigA(), nil)
 		if err != nil {
@@ -73,6 +79,7 @@ func BenchmarkFig3bCapacity(b *testing.B) {
 func BenchmarkFig3cLeakage(b *testing.B) {
 	var rows []expers.Fig3cRow
 	for i := 0; i < b.N; i++ {
+		expers.ResetMemos()
 		var err error
 		rows, _, err = expers.Fig3c(expers.L1ConfigA())
 		if err != nil {
@@ -87,6 +94,7 @@ func BenchmarkFig3cLeakage(b *testing.B) {
 func BenchmarkFig3dYield(b *testing.B) {
 	var rows []expers.MinVDDRow
 	for i := 0; i < b.N; i++ {
+		expers.ResetMemos()
 		var err error
 		_, _, err = expers.Fig3dMechs(expers.L1ConfigA(), nil)
 		if err != nil {
@@ -109,6 +117,7 @@ func BenchmarkFig3dYield(b *testing.B) {
 func BenchmarkAreaOverhead(b *testing.B) {
 	var rows []expers.AreaRow
 	for i := 0; i < b.N; i++ {
+		expers.ResetMemos()
 		var err error
 		rows, _, err = expers.AreaOverheads()
 		if err != nil {
@@ -129,6 +138,7 @@ func BenchmarkAreaOverhead(b *testing.B) {
 func BenchmarkMinVDDvsAssoc(b *testing.B) {
 	var plans []expers.VDDPlanRow
 	for i := 0; i < b.N; i++ {
+		expers.ResetMemos()
 		var err error
 		plans, _, err = expers.VDDPlans()
 		if err != nil {

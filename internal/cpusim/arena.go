@@ -16,7 +16,7 @@ import (
 )
 
 // Arena owns the reusable simulation state for one worker goroutine:
-// cache structures, fault-map buffers, trace block arenas and the RNGs
+// cache structures, fault-map buffers, the trace block and the RNGs
 // used during system construction. Consecutive NewSystemArena calls on
 // the same arena recycle this memory instead of reallocating it, which
 // is what makes short campaign cells cheap (DESIGN.md §13).
@@ -36,7 +36,8 @@ type Arena struct {
 	// consume identical streams.
 	rngRoot  stats.RNG
 	rngLevel stats.RNG
-	pipes    trace.PipeArena
+	// block is the trace pipe's buffer for every run on this arena.
+	block []trace.Instr
 }
 
 // NewArena returns an empty arena ready for NewSystemArena.
@@ -44,6 +45,7 @@ func NewArena() *Arena {
 	return &Arena{
 		caches: make(map[cache.Config]*cache.Cache),
 		maps:   make(map[cache.Config]*mapEntry),
+		block:  make([]trace.Instr, trace.BlockSize),
 	}
 }
 

@@ -195,14 +195,11 @@ type System struct {
 	l2     *level
 	cycles uint64
 	// arena, when non-nil, owns this system's caches, fault maps and
-	// trace blocks; the system is valid until the arena's next build.
+	// trace block; the system is valid until the arena's next build.
 	arena *Arena
 	// seed is the construction seed, kept so the arena can key its
 	// pristine fault-map snapshots (see Arena.faultMapFor).
 	seed uint64
-	// scalarLoop selects the retained per-instruction reference loop
-	// instead of the block pipeline; the differential tests set it.
-	scalarLoop bool
 }
 
 // NewSystem builds the three cache levels for the given mode, deriving
@@ -519,19 +516,11 @@ func RunGeneratorContext(ctx context.Context, cfg SystemConfig, mode core.Mode, 
 	return sys.run(ctx, gen, opts)
 }
 
-// ctxCheckMask throttles cancellation polling in the retained scalar
-// instruction loop: ctx.Err() is checked once every 8192 instructions,
-// cheap enough to be invisible and fine-grained enough to stop a run
-// within microseconds. The block loop polls once per block instead.
-const ctxCheckMask = 8192 - 1
-
-// simulate runs n instructions off a trace.Pipe: the pipe fills blocks
-// (ahead, on multi-core hosts) while this consumer steps through them,
-// with cancellation polled once per block. A cancel arriving mid-block
-// is observed at the next block boundary, so simulation stops within
-// one block (trace.BlockSize instructions) of the cancel; a threaded
-// producer may have run at most the two arena blocks ahead of the stop
-// point.
+// simulate runs the next n instructions off a trace.Pipe, refilling it
+// a block at a time and polling cancellation once per block. A cancel
+// arriving mid-block is observed at the next block boundary, so neither
+// simulation nor trace generation runs more than one block
+// (trace.BlockSize instructions) past it.
 func (s *System) simulate(ctx context.Context, p *trace.Pipe, n uint64) error {
 	for n > 0 {
 		if ctx.Err() != nil {
@@ -549,23 +538,6 @@ func (s *System) simulate(ctx context.Context, p *trace.Pipe, n uint64) error {
 		}
 		p.Pos += len(blk)
 		n -= uint64(len(blk))
-	}
-	return nil
-}
-
-// simulateScalar is the retained reference inner loop — one generator
-// call and one step per instruction, exactly the pre-block pipeline.
-// The block loop above must be observationally identical instruction
-// for instruction; TestBlockLoopMatchesScalar drives both over the
-// same workloads and asserts equal Results.
-func (s *System) simulateScalar(ctx context.Context, gen trace.Generator, n uint64) error {
-	var ins trace.Instr
-	for i := uint64(0); i < n; i++ {
-		if i&ctxCheckMask == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		gen.Next(&ins)
-		s.step(&ins)
 	}
 	return nil
 }
@@ -603,8 +575,22 @@ func (t *transitionTracer) Record(ev obs.PolicyEvent) {
 	sp.EndInstant()
 }
 
-// run drives a prepared system through warm-up and measurement.
+// run drives a prepared system through warm-up and measurement,
+// feeding it gen's instructions through a trace.Pipe.
 func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions) (Result, error) {
+	var buf []trace.Instr
+	if sys.arena != nil {
+		buf = sys.arena.block
+	}
+	p := trace.NewPipe(trace.AsBlock(gen), buf)
+	return sys.drive(ctx, gen.Name(), opts, func(n uint64) error { return sys.simulate(ctx, p, n) })
+}
+
+// drive runs the warm-up and the measured window, each through window,
+// which simulates the next n instructions of the workload's stream,
+// and returns the measured window's result. The differential tests
+// drive a per-instruction reference window through it.
+func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, window func(n uint64) error) (Result, error) {
 	cfg := sys.cfg
 	mode := sys.mode
 	parent := tracez.SpanFromContext(ctx)
@@ -616,24 +602,6 @@ func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions
 		sys.SetSink(sink)
 	}
 	sys.start()
-
-	// The block pipeline is the production path; scalarLoop selects the
-	// retained reference loop for differential testing.
-	var p *trace.Pipe
-	if !sys.scalarLoop {
-		var pa *trace.PipeArena
-		if sys.arena != nil {
-			pa = &sys.arena.pipes
-		}
-		p = trace.StartPipeArena(trace.AsBlock(gen), pa)
-		defer p.Close()
-	}
-	window := func(n uint64) error {
-		if sys.scalarLoop {
-			return sys.simulateScalar(ctx, gen, n)
-		}
-		return sys.simulate(ctx, p, n)
-	}
 
 	wsp := parent.Child("sim.warmup")
 	wsp.SetUint("instructions", opts.WarmupInstr)
@@ -672,7 +640,7 @@ func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions
 	esp := parent.Child("sim.energy")
 	cycles := sys.cycles - startCycles
 	res := Result{
-		Workload:     gen.Name(),
+		Workload:     workload,
 		Config:       cfg.Name,
 		Mode:         mode,
 		Instructions: opts.SimInstr,
@@ -758,27 +726,4 @@ func (s *System) SPCSLevels() (l1i, l1d, l2 int) {
 		return lv.plan.SPCSLevel
 	}
 	return pick(s.l1i), pick(s.l1d), pick(s.l2)
-}
-
-// DebugResult augments Result with policy internals for diagnostics.
-type DebugResult struct {
-	Result   Result
-	Policies [3]*core.DPCSPolicy // L1I, L1D, L2 (nil unless DPCS)
-}
-
-// RunDebug is Run, also returning the DPCS policy objects for inspection.
-func RunDebug(cfg SystemConfig, mode core.Mode, w trace.Workload, opts RunOptions) (DebugResult, error) {
-	sys, err := NewSystem(cfg, mode, opts.Seed)
-	if err != nil {
-		return DebugResult{}, err
-	}
-	gen, err := trace.New(w, opts.Seed)
-	if err != nil {
-		return DebugResult{}, err
-	}
-	res, err := sys.run(context.Background(), gen, opts)
-	if err != nil {
-		return DebugResult{}, err
-	}
-	return DebugResult{Result: res, Policies: [3]*core.DPCSPolicy{sys.l1i.dpcs, sys.l1d.dpcs, sys.l2.dpcs}}, nil
 }

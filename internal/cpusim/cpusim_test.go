@@ -211,19 +211,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestRunDebugExposesPolicies(t *testing.T) {
-	d, err := RunDebug(ConfigA(), core.DPCS, smallWorkload(),
-		RunOptions{WarmupInstr: 10_000, SimInstr: 50_000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range d.Policies {
-		if p == nil {
-			t.Errorf("policy %d nil in DPCS mode", i)
-		}
-	}
-}
-
 func TestBlockAlign(t *testing.T) {
 	if blockAlign(0x12345, 64) != 0x12340 {
 		t.Errorf("blockAlign: %#x", blockAlign(0x12345, 64))

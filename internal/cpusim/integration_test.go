@@ -124,12 +124,11 @@ func TestCacheHierarchyInclusionOfTraffic(t *testing.T) {
 // TestDPCSNeverExceedsSPCSVoltage asserts the paper's rule that DPCS
 // treats the SPCS level as its ceiling.
 func TestDPCSNeverExceedsSPCSVoltage(t *testing.T) {
-	d, err := RunDebug(ConfigA(), core.DPCS, smallWorkload(),
+	r, err := Run(ConfigA(), core.DPCS, smallWorkload(),
 		RunOptions{WarmupInstr: 100_000, SimInstr: 400_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := d.Result
 	for _, cr := range []CacheResult{r.L1I, r.L1D, r.L2} {
 		top := len(cr.LevelVolts) - 1 // index of VDD3
 		if cr.TimeAtLevelCycles[top] != 0 {

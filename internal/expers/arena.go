@@ -14,7 +14,7 @@ import (
 // (DESIGN.md §13): the runner builds one per (worker, kind) via
 // runner.KindInfo.NewWorkerState, and the kind functions thread it
 // into their simulation substrate, so consecutive cells on a worker
-// recycle their caches, fault maps, trace blocks and RNGs instead of
+// recycle their caches, fault maps, trace block and RNGs instead of
 // reallocating. A CellArena is confined to one goroutine; everything a
 // cell built on it is invalidated by the worker's next cell of the
 // same kind. Cells must produce byte-identical output with a nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,39 +13,55 @@ import (
 	"repro/internal/trace"
 )
 
+// scalarInterleave is the per-instruction reference interleave: one
+// generator call and one step per core per sweep, in core order.
+func scalarInterleave(sys *System) func(ctx context.Context, n uint64) error {
+	var ins trace.Instr
+	return func(ctx context.Context, n uint64) error {
+		for k := uint64(0); k < n; k++ {
+			for _, c := range sys.cores {
+				c.gen.Next(&ins)
+				sys.step(c, &ins)
+			}
+		}
+		return nil
+	}
+}
+
 // runWith builds a fresh multi-core System and drives it through either
-// the sharded per-core block feeds or the retained scalar interleave.
+// the per-core block feeds or the scalar reference interleave.
 func runWith(t *testing.T, cfg Config, mode core.Mode, w trace.Workload, warm, instr, seed uint64, scalar bool) Result {
 	t.Helper()
 	sys, err := newSystem(cfg, mode, w, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.scalarLoop = scalar
-	res, err := sys.run(context.Background(), warm, instr)
+	ctx := context.Background()
+	var res Result
+	if scalar {
+		res, err = sys.drive(ctx, warm, instr, scalarInterleave(sys))
+	} else {
+		res, err = sys.run(ctx, warm, instr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// TestShardedMatchesSerial is the multi-core half of the tentpole's
-// safety harness: the sharded generation path (per-core producer
-// goroutines over reused block arenas) must be observationally
-// identical to the serial reference interleave — same per-core cycles
-// and stats, same coherence invalidations, same L2 behaviour and
-// energies — across all three modes and randomized window lengths.
+// TestShardedMatchesSerial is the multi-core half of the block loop's
+// safety harness: feeding each core from its own block pipe must be
+// observationally identical to the serial reference interleave — same
+// per-core cycles and stats, same coherence invalidations, same L2
+// behaviour and energies — across all three modes and randomized
+// window lengths.
 func TestShardedMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential run is slow")
 	}
 	rng := stats.NewRNG(0x5a4d ^ 0x1234)
 	suite := trace.Suite()
-	// Alternate GOMAXPROCS so both pipe shapes (synchronous refill and
-	// producer goroutines) are exercised on any host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for i, mode := range []core.Mode{core.Baseline, core.SPCS, core.DPCS} {
-		runtime.GOMAXPROCS(1 + i%2)
 		w := suite[rng.Intn(len(suite))]
 		cfg := DefaultConfig()
 		cfg.Cores = 2 + rng.Intn(3)
@@ -80,14 +97,11 @@ func (g *countingGen) Next(ins *trace.Instr) {
 	g.inner.Next(ins)
 }
 
-// TestCancelBoundedBySweepAndBlock pins the sharded loop's cancellation
-// granularity: after a cancel fires, every core generates at most its
-// pipe's two arena blocks plus the in-flight sweep before the loop
-// observes ctx at the next poll.
+// TestCancelBoundedBySweepAndBlock pins the interleave's cancellation
+// granularity: after a cancel fires, every core generates at most the
+// in-flight poll window of sweeps plus its pipe's one block before the
+// loop observes ctx at the next poll.
 func TestCancelBoundedBySweepAndBlock(t *testing.T) {
-	// Force the threaded pipe shape so the producer run-ahead bound is
-	// what's actually under test, even on a single-CPU host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	w, ok := trace.ByName("bzip2.s")
 	if !ok {
 		t.Fatal("bzip2.s missing from suite")
@@ -119,13 +133,66 @@ func TestCancelBoundedBySweepAndBlock(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The cancel is observed within one poll window of the interleave
-	// (ctxCheckMask+1 sweeps); beyond that each producer can only run
-	// its two arena blocks ahead.
-	const slack = 2*trace.BlockSize + (ctxCheckMask + 1)
+	// (ctxCheckMask+1 sweeps); beyond that each pipe generates at most
+	// the one block it is consuming.
+	const slack = (ctxCheckMask + 1) + trace.BlockSize
 	for i, g := range gens {
 		if g.count > gens[1].at+slack {
 			t.Fatalf("core %d generated %d instructions, want <= %d (cancel at %d + slack %d)",
 				i, g.count, gens[1].at+slack, gens[1].at, slack)
+		}
+	}
+}
+
+// goroutineID returns the running goroutine's ID from its stack header,
+// "goroutine N [running]:".
+func goroutineID() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// goroutineGen is a BlockGenerator that records the goroutine each
+// NextBlock call runs on.
+type goroutineGen struct {
+	trace.BlockGenerator
+	ran []string
+}
+
+func (g *goroutineGen) NextBlock(dst []trace.Instr) int {
+	g.ran = append(g.ran, goroutineID())
+	return g.BlockGenerator.NextBlock(dst)
+}
+
+// TestTraceGeneratedOnCallerGoroutine is the multi-core counterpart of
+// the cpusim test: every core's trace is generated on the goroutine
+// that runs the cell, even with a second P free.
+func TestTraceGeneratedOnCallerGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w, _ := trace.ByName("gobmk.s")
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	sys, err := newSystem(cfg, core.DPCS, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make([]*goroutineGen, len(sys.cores))
+	for i, c := range sys.cores {
+		gens[i] = &goroutineGen{BlockGenerator: trace.AsBlock(c.gen)}
+		c.gen = gens[i]
+	}
+	if _, err := sys.run(context.Background(), 5_000, 20_000); err != nil {
+		t.Fatal(err)
+	}
+	self := goroutineID()
+	for i, g := range gens {
+		if len(g.ran) == 0 {
+			t.Fatalf("core %d generated no block", i)
+		}
+		for j, id := range g.ran {
+			if id != self {
+				t.Fatalf("core %d block %d generated on goroutine %s, want the caller's %s", i, j, id, self)
+			}
 		}
 	}
 }

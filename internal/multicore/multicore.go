@@ -125,7 +125,7 @@ func (d *directory) drop(addr uint64, coreID int) {
 type coreState struct {
 	id               int
 	gen              trace.Generator
-	pipe             *trace.Pipe // per-core block feed (sharded generation)
+	pipe             *trace.Pipe // gen's block feed, built by run
 	l1i              *core.Controller
 	l1d              *core.Controller
 	l1iPol           *core.DPCSPolicy
@@ -177,10 +177,6 @@ type System struct {
 	global uint64 // monotone global clock for the shared L2
 	cohInv uint64
 	l2SPCS int
-	// scalarLoop selects the retained per-instruction reference
-	// interleave instead of the sharded block feeds; the differential
-	// tests set it.
-	scalarLoop bool
 }
 
 // builderFacade reuses cpusim's per-level construction through its
@@ -440,68 +436,50 @@ func RunContext(ctx context.Context, cfg Config, mode core.Mode, w trace.Workloa
 }
 
 // run drives a prepared multi-core system through warm-up and
-// measurement.
-//
-// The production path shards trace generation across the cell: every
-// core's generator — an independent, separately-seeded RNG stream —
-// feeds its own trace.Pipe, so on multi-core hosts N producer
-// goroutines fill reused block arenas concurrently while this single
-// consumer goroutine interleaves the cores round-robin. Everything at
-// or below the sharing boundary — private-L1 state, the coherence
-// directory, the shared L2 — is touched only by the consumer, in a
-// fixed sweep order, so the simulation is deterministic regardless of
-// producer scheduling: each pipe delivers its core's stream in
-// production order, and the interleaving of streams is fixed by the
-// round-robin. TestShardedMatchesSerial pins this against the retained
-// scalar interleave.
+// measurement, feeding every core from its own trace.Pipe.
 func (sys *System) run(ctx context.Context, warmupPerCore, instrPerCore uint64) (Result, error) {
+	for _, c := range sys.cores {
+		c.pipe = trace.NewPipe(trace.AsBlock(c.gen), nil)
+	}
+	return sys.drive(ctx, warmupPerCore, instrPerCore, sys.interleave)
+}
+
+// interleave runs the next n round-robin sweeps, one instruction per
+// core per sweep in core order, off the cores' pipes. Each core's
+// stream is its own separately-seeded generator, and everything the
+// cores share — the coherence directory, the shared L2 — is touched in
+// this fixed sweep order, so the simulation is a pure function of
+// (config, seeds). TestShardedMatchesSerial pins it against a
+// per-instruction reference interleave.
+func (sys *System) interleave(ctx context.Context, n uint64) error {
+	for k := uint64(0); k < n; k++ {
+		if k&ctxCheckMask == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		for _, c := range sys.cores {
+			p := c.pipe
+			if p.Pos == len(p.Cur) {
+				p.Refill()
+			}
+			sys.step(c, &p.Cur[p.Pos])
+			p.Pos++
+		}
+	}
+	return nil
+}
+
+// drive runs the warm-up and the measured window, each through
+// interleave, which runs the next n sweeps over the cores, and returns
+// the aggregate result.
+func (sys *System) drive(ctx context.Context, warmupPerCore, instrPerCore uint64, interleave func(ctx context.Context, n uint64) error) (Result, error) {
 	parent := tracez.SpanFromContext(ctx)
 	cfg := sys.cfg
 	mode := sys.mode
 	sys.start()
 
-	if !sys.scalarLoop {
-		for _, c := range sys.cores {
-			c.pipe = trace.StartPipe(trace.AsBlock(c.gen))
-		}
-		defer func() {
-			for _, c := range sys.cores {
-				c.pipe.Close()
-			}
-		}()
-	}
-	var ins trace.Instr
-	interleave := func(n uint64) error {
-		if sys.scalarLoop {
-			for k := uint64(0); k < n; k++ {
-				if k&ctxCheckMask == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				for _, c := range sys.cores {
-					c.gen.Next(&ins)
-					sys.step(c, &ins)
-				}
-			}
-			return nil
-		}
-		for k := uint64(0); k < n; k++ {
-			if k&ctxCheckMask == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			for _, c := range sys.cores {
-				p := c.pipe
-				if p.Pos == len(p.Cur) {
-					p.Refill()
-				}
-				sys.step(c, &p.Cur[p.Pos])
-				p.Pos++
-			}
-		}
-		return nil
-	}
 	wsp := parent.Child("sim.warmup")
 	wsp.SetUint("instructions_per_core", warmupPerCore)
-	if err := interleave(warmupPerCore); err != nil {
+	if err := interleave(ctx, warmupPerCore); err != nil {
 		wsp.End()
 		return Result{}, err
 	}
@@ -527,7 +505,7 @@ func (sys *System) run(ctx context.Context, warmupPerCore, instrPerCore uint64) 
 
 	msp := parent.Child("sim.measure")
 	msp.SetUint("instructions_per_core", instrPerCore)
-	if err := interleave(instrPerCore); err != nil {
+	if err := interleave(ctx, instrPerCore); err != nil {
 		msp.End()
 		return Result{}, err
 	}

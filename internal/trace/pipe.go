@@ -1,174 +1,39 @@
 package trace
 
-import "runtime"
-
 // Pipe feeds fixed-size instruction blocks from a BlockGenerator to a
-// simulation loop. On multi-core hosts a producer goroutine fills
-// blocks ahead of the consumer, ping-pong double-buffered through a
-// pair of channels, so the wall-clock cost of trace generation hides
-// behind simulation. On a single-CPU host (GOMAXPROCS=1) the goroutine
-// could never overlap the consumer, so the pipe degrades to a
-// synchronous one-arena refill with zero scheduling overhead. Both
-// shapes consume blocks strictly in production order, so the delivered
-// instruction stream is bit-identical to calling the generator inline
-// either way.
+// simulation loop. Refill generates the next block into the pipe's one
+// buffer on the calling goroutine, so the delivered instruction stream
+// is exactly the generator's, and all of a simulation's work — trace
+// generation included — runs on the goroutine that simulates.
 //
 // Cur and Pos are the consumer's cursor into the current block; the
 // consumer advances Pos itself and calls Refill when Pos reaches
 // len(Cur). Keeping the cursor on the Pipe lets one consumption
 // position span several consuming loops (e.g. a warm-up window ending
 // mid-block and the measurement window picking up the remainder).
-//
-// In the threaded shape the generator is owned by the producer
-// goroutine while the pipe is open (channel hand-off orders all its
-// state), and Close must be called before the generator is touched
-// again. The pipe itself is not safe for concurrent consumers.
+// A Pipe is not safe for concurrent use.
 type Pipe struct {
-	filled chan []Instr
-	free   chan []Instr
-	stop   chan struct{}
-	done   chan struct{}
-
 	// Cur is the block being consumed; Pos the next index within it.
 	Cur []Instr
 	Pos int
 
-	// bg is set in synchronous (single-CPU) mode; Refill then refills
-	// the single arena inline instead of waiting on the producer.
 	bg  BlockGenerator
 	buf []Instr
-
-	// arena, when non-nil, receives the block arenas back on Close so
-	// the next pipe on the same worker reuses them.
-	arena *PipeArena
 }
 
-// PipeArena is a pool of block arenas for consecutive pipes on one
-// worker: StartPipeArena draws its blocks from the pool and Close
-// returns them, so a campaign worker running many short simulations
-// allocates its trace blocks once. A PipeArena is confined to one
-// goroutine between pipe lifetimes (the pipe's own producer hand-off
-// covers the threaded window); the zero value is ready to use.
-type PipeArena struct {
-	bufs [][]Instr
-}
-
-// take hands out a pooled block, allocating when the pool is empty.
-func (a *PipeArena) take() []Instr {
-	if n := len(a.bufs); n > 0 {
-		b := a.bufs[n-1]
-		a.bufs = a.bufs[:n-1]
-		return b
+// NewPipe returns a pipe that refills buf from bg. A nil buf allocates
+// one block of BlockSize instructions; a caller running many pipes in
+// turn passes the same buffer to each.
+func NewPipe(bg BlockGenerator, buf []Instr) *Pipe {
+	if buf == nil {
+		buf = make([]Instr, BlockSize)
 	}
-	return make([]Instr, BlockSize)
+	return &Pipe{bg: bg, buf: buf}
 }
 
-// put returns a block to the pool.
-func (a *PipeArena) put(b []Instr) {
-	if b != nil {
-		a.bufs = append(a.bufs, b)
-	}
-}
-
-// StartPipe allocates the block arenas and, when the runtime has more
-// than one CPU to schedule on, starts the producer goroutine.
-func StartPipe(bg BlockGenerator) *Pipe {
-	return StartPipeArena(bg, nil)
-}
-
-// StartPipeArena is StartPipe drawing the block arenas from a pool
-// (nil behaves exactly like StartPipe). The delivered instruction
-// stream is identical either way; only where the blocks' memory comes
-// from changes.
-func StartPipeArena(bg BlockGenerator, arena *PipeArena) *Pipe {
-	if runtime.GOMAXPROCS(0) == 1 {
-		p := &Pipe{bg: bg, arena: arena}
-		if arena != nil {
-			p.buf = arena.take()
-		} else {
-			p.buf = make([]Instr, BlockSize)
-		}
-		return p
-	}
-	p := &Pipe{
-		// Capacities match the arena count, so the producer's sends to
-		// filled never block and stop is only contended on free.
-		filled: make(chan []Instr, 2),
-		free:   make(chan []Instr, 2),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		arena:  arena,
-	}
-	if arena != nil {
-		p.free <- arena.take()
-		p.free <- arena.take()
-	} else {
-		p.free <- make([]Instr, BlockSize)
-		p.free <- make([]Instr, BlockSize)
-	}
-	go func() {
-		defer close(p.done)
-		for {
-			var buf []Instr
-			select {
-			case buf = <-p.free:
-			case <-p.stop:
-				return
-			}
-			bg.NextBlock(buf)
-			p.filled <- buf
-		}
-	}()
-	return p
-}
-
-// Refill recycles the consumed block and hands over the next one: an
-// inline refill in synchronous mode, a channel exchange with the
-// producer otherwise.
+// Refill generates the next block and rewinds the cursor to its start.
 func (p *Pipe) Refill() {
-	if p.bg != nil {
-		p.bg.NextBlock(p.buf)
-		p.Cur = p.buf
-		p.Pos = 0
-		return
-	}
-	if p.Cur != nil {
-		p.free <- p.Cur
-	}
-	p.Cur = <-p.filled
+	p.bg.NextBlock(p.buf)
+	p.Cur = p.buf
 	p.Pos = 0
-}
-
-// Close stops the producer and waits for it to exit, re-establishing
-// exclusive ownership of the generator for the caller; a synchronous
-// pipe has no producer. Arena-backed pipes then return their blocks to
-// the pool: once the producer has exited, every block is either Cur or
-// parked in one of the channels (the producer never holds one across
-// its select), so a non-blocking drain recovers all of them.
-func (p *Pipe) Close() {
-	if p.bg != nil {
-		if p.arena != nil {
-			p.arena.put(p.buf)
-			p.buf = nil
-			p.Cur = nil
-		}
-		return
-	}
-	close(p.stop)
-	<-p.done
-	if p.arena == nil {
-		return
-	}
-	p.arena.put(p.Cur)
-	p.Cur = nil
-	for {
-		select {
-		case b := <-p.filled:
-			p.arena.put(b)
-		case b := <-p.free:
-			p.arena.put(b)
-		default:
-			return
-		}
-	}
 }

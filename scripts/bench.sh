@@ -5,7 +5,9 @@
 # with allocation stats, writes the test2json stream to a new
 # BENCH_<date>.json (never clobbering an existing snapshot: a second
 # run the same day becomes BENCH_<date>.2.json, then .3, …), and prints
-# the ns/op deltas versus the previous snapshot via benchcmp.sh.
+# the ns/op deltas versus the previous snapshot via benchcmp.sh. The
+# previous snapshot is the last by version-sorted name: a fresh
+# checkout gives every snapshot the same mtime.
 #
 # BENCHTIME (default 1x) and BENCHCOUNT (default 1) are passed to
 # `go test -benchtime/-count` and recorded in a bench_meta line at the
@@ -13,17 +15,20 @@
 # smoke run against a steady-state one: ns/op from a single cold
 # iteration and from a multi-second warm run are different quantities.
 # BENCHTIME=2s BENCHCOUNT=3 gives steady-state numbers with a best-of
-# across the counts.
+# across the counts. bench_meta also records the host's CPU count, the
+# GOMAXPROCS the benchmarks ran at and the git revision measured.
 set -eu
 cd "$(dirname "$0")/.."
 BENCHTIME=${BENCHTIME:-1x}
 BENCHCOUNT=${BENCHCOUNT:-1}
 
-prev=$(ls -t BENCH_*.json 2>/dev/null | head -1 || true)
+prev=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
-printf '{"bench_meta":{"benchtime":"%s","count":%s}}\n' \
-	"$BENCHTIME" "$BENCHCOUNT" > "$tmp"
+nproc=$(nproc)
+rev=$(git describe --always --dirty 2>/dev/null || echo unknown)
+printf '{"bench_meta":{"benchtime":"%s","count":%s,"nproc":%s,"gomaxprocs":%s,"rev":"%s"}}\n' \
+	"$BENCHTIME" "$BENCHCOUNT" "$nproc" "${GOMAXPROCS:-$nproc}" "$rev" > "$tmp"
 go test -run '^$' -bench . -benchtime "$BENCHTIME" -count "$BENCHCOUNT" -benchmem -json \
 	. ./internal/core ./internal/obs >> "$tmp"
 

@@ -65,7 +65,8 @@ go test -run '^$' -bench 'BenchmarkCampaignCellThroughput' -benchtime 1x . > /de
 # not archived here (that is `make bench`).
 go test -short -run '^$' -bench . -benchtime 1x -benchmem . ./internal/core ./internal/obs > /dev/null
 
-# Throughput regression gate: fail if the simulator inner loop has
-# regressed more than 10% versus the newest committed BENCH_*.json
-# steady-state snapshot (best-of on both sides; see benchgate.sh).
+# Throughput regression gate: an A/B run of the simulator benchmark on
+# this host, the working tree against its base commit; fails when the
+# median ns/op ratio exceeds 1.10, when B/op or allocs/op grow more than
+# 20 %, or when the base cannot be built (see benchgate.sh).
 sh scripts/benchgate.sh
