@@ -54,7 +54,7 @@ func main() {
 		reportCommand(),
 		serveCommand(),
 		topCommand(),
-		verifyCommand(),
+		verifyCommand(os.Stdout),
 		cacheCommand(),
 	)
 	os.Exit(app.Run(os.Args[1:]))

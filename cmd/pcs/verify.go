@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -21,8 +22,8 @@ import (
 // results.jsonl line, and the sidecar manifest/summary must agree with
 // the chain. With -recompute N it additionally re-executes a sampled
 // subset of the recorded cells with their recorded seeds and demands
-// bit-identical output.
-func verifyCommand() *cli.Command {
+// bit-identical output. The report goes to stdout.
+func verifyCommand(stdout io.Writer) *cli.Command {
 	var recompute int
 	return &cli.Command{
 		Name:    "verify",
@@ -40,19 +41,19 @@ func verifyCommand() *cli.Command {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%s: ledger OK\n", dir)
-			fmt.Printf("  campaign %q: %d jobs (%d done, %d failed, %d cancelled, %d cached), seed %d\n",
+			fmt.Fprintf(stdout, "%s: ledger OK\n", dir)
+			fmt.Fprintf(stdout, "  campaign %q: %d jobs (%d done, %d failed, %d cancelled, %d cached), seed %d\n",
 				rep.Manifest.Campaign, rep.Manifest.Jobs,
 				rep.Summary.Done, rep.Summary.Failed, rep.Summary.Cancelled, rep.Cached,
 				rep.Manifest.Seed)
-			fmt.Printf("  code version %s\n", orUnknown(rep.Manifest.CodeVersion))
-			fmt.Printf("  specs digest %s\n", rep.Manifest.SpecsDigest)
-			fmt.Printf("  results digest %s\n", rep.Summary.ResultsDigest)
+			fmt.Fprintf(stdout, "  code version %s\n", orUnknown(rep.Manifest.CodeVersion))
+			fmt.Fprintf(stdout, "  specs digest %s\n", rep.Manifest.SpecsDigest)
+			fmt.Fprintf(stdout, "  results digest %s\n", rep.Summary.ResultsDigest)
 			for _, sc := range rep.Sidecars {
-				fmt.Printf("  sidecar %s: %d bytes, digest %s\n", sc.Name, sc.Bytes, sc.Digest)
+				fmt.Fprintf(stdout, "  sidecar %s: %d bytes, digest %s\n", sc.Name, sc.Bytes, sc.Digest)
 			}
 			if recompute > 0 {
-				if err := recomputeSample(dir, rep, recompute); err != nil {
+				if err := recomputeSample(stdout, dir, rep, recompute); err != nil {
 					return err
 				}
 			}
@@ -73,7 +74,7 @@ func orUnknown(s string) string {
 // the marshalled output byte for byte against the "output" field of the
 // corresponding results.jsonl line. Sampling is deterministic: evenly
 // spaced over the done jobs in index order.
-func recomputeSample(dir string, rep *ledger.Report, n int) error {
+func recomputeSample(stdout io.Writer, dir string, rep *ledger.Report, n int) error {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return err
@@ -140,8 +141,8 @@ func recomputeSample(dir string, rep *ledger.Report, n int) error {
 		if !bytes.Equal(got, []byte(line.Output)) {
 			return fmt.Errorf("job %d (%s, seed %d): recomputed output differs from recorded output", idx, spec.Kind, rec.Seed)
 		}
-		fmt.Printf("  recomputed job %d (%s, seed %d): bit-identical\n", idx, spec.Kind, rec.Seed)
+		fmt.Fprintf(stdout, "  recomputed job %d (%s, seed %d): bit-identical\n", idx, spec.Kind, rec.Seed)
 	}
-	fmt.Printf("%s: %d/%d done cells recomputed bit-identically\n", dir, n, len(done))
+	fmt.Fprintf(stdout, "%s: %d/%d done cells recomputed bit-identically\n", dir, n, len(done))
 	return nil
 }

@@ -94,6 +94,24 @@ func TestSpecsDigestCanonical(t *testing.T) {
 	}
 }
 
+// TestSpecsDigestFixture pins the specs digest of a job array with
+// unsorted and duplicate keys, HTML characters, U+2028, an unpaired
+// surrogate escape and invalid UTF-8 to its known hex value. The
+// digest is recorded in every ledger, so a change here makes existing
+// run directories fail pcs verify.
+func TestSpecsDigestFixture(t *testing.T) {
+	specs := `[{"kind":"minvdd","name":"l1<a>&` + "\u2028" + `","params":{"ways":4,"size_bytes":65536,"block_bytes":64}},` +
+		`{"kind":"k","params":{"b":[1,0.10,{"y":null,"x":"é\ud800"}],"a":"<&>","a":true}},` +
+		`{"kind":"k","name":"bad ` + "\xff" + ` utf8","params":null}]`
+	got, err := SpecsDigest(json.RawMessage(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "fd0ffe482493340c89ff452fc256edcc1ff55e154a6da207220537b8f46a0c2a"; got != want {
+		t.Errorf("specs digest = %s, want %s", got, want)
+	}
+}
+
 // writeRunDir fabricates a minimal verifiable run directory: two done
 // jobs, matching manifest.json/results.jsonl/summary.json/ledger.jsonl.
 func writeRunDir(t *testing.T) string {

@@ -21,40 +21,10 @@
 package resultstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 )
-
-// CanonicalJSON re-encodes a JSON document in canonical form: object
-// keys sorted, insignificant whitespace removed, number literals
-// preserved exactly as written (via json.Number, so 0.10 and 0.1 stay
-// distinct but field order never matters). Two semantically identical
-// parameter documents canonicalize to the same bytes.
-func CanonicalJSON(data []byte) ([]byte, error) {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return []byte("null"), nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("resultstore: canonicalize: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("resultstore: canonicalize: trailing data after document")
-	}
-	// json.Marshal writes maps with sorted keys and json.Number values
-	// as their original literals, which is exactly the canonical form.
-	out, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: canonicalize: %v", err)
-	}
-	return out, nil
-}
 
 // Key computes the content address of one campaign cell:
 //

@@ -48,7 +48,20 @@ go test -count=1 -race -run 'TestTableConcurrentReads' ./internal/memo
 go test -count=1 -run 'TestRegistryCompleteness|TestMechStudyCoversRegistry|TestDefaultSetAddsNoTables' ./internal/expers
 go test -count=1 -run 'TestAnalyticalGolden|TestAnalyticalUnknownMechanism' ./cmd/pcs
 go test -count=1 -run 'TestAdapterDifferential' ./internal/mechanism
-go test -count=1 -run 'TestKeyGoldenFixtures|TestKeyMechVersionBump' ./internal/resultstore
+
+# Store-key gate (DESIGN.md §10.1): the key fixtures must not move, the
+# single-pass canonicalizer must match the decode/re-marshal reference
+# on the fuzz seed corpus (key fixtures, examples/*.json params, fig4
+# cells, boundary quirks, the nesting limit), input that is not one
+# JSON value must be refused, and canonicalizing a fixture must
+# allocate only its output.
+go test -count=1 -run 'TestKeyGoldenFixtures|TestKeyMechVersionBump|FuzzCanonicalJSON|TestCanonicalJSONErrors|TestCanonicalJSONAllocs' ./internal/resultstore
+
+# Ledger gate (DESIGN.md §10.2): the specs digest of a fixed job array
+# must not move, and `pcs verify` must accept a fresh run directory and
+# refuse one whose specs were edited.
+go test -count=1 -run 'TestSpecsDigestFixture' ./internal/ledger
+go test -count=1 -run 'TestVerifyRunDir' ./cmd/pcs
 
 # Spec-decoder gate: the seed corpus of the one decoder behind -spec and
 # POST /campaigns (round-trip documents plus examples/*.json) must
