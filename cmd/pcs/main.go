@@ -49,7 +49,7 @@ func main() {
 		multicoreCommand(),
 		analyticalCommand(os.Stdout),
 		bistCommand(),
-		traceCommand(),
+		traceCommand(os.Stdout),
 		figuresCommand(),
 		reportCommand(),
 		serveCommand(),

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/config"
@@ -103,16 +104,13 @@ func simCommand() *cli.Command {
 				}
 			}
 
-			var cfgs []cpusim.SystemConfig
-			switch cfgSel {
-			case "A", "a":
-				cfgs = []cpusim.SystemConfig{cpusim.ConfigA()}
-			case "B", "b":
-				cfgs = []cpusim.SystemConfig{cpusim.ConfigB()}
-			case "both":
-				cfgs = []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()}
-			default:
-				return fmt.Errorf("unknown config %q", cfgSel)
+			cfgs := []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()}
+			if !strings.EqualFold(strings.TrimSpace(cfgSel), "both") {
+				cfg, err := cpusim.ConfigByName(cfgSel)
+				if err != nil {
+					return err
+				}
+				cfgs = []cpusim.SystemConfig{cfg}
 			}
 			opts := cpusim.RunOptions{WarmupInstr: warmup, SimInstr: instr, Seed: seed}
 

@@ -16,8 +16,9 @@ import (
 // binary trace format and replays recorded traces through the simulator
 // — the old pcs-trace binary as a subcommand. Recording makes runs
 // exchangeable and exactly repeatable across library versions: the
-// trace, not the generator, becomes the ground truth.
-func traceCommand() *cli.Command {
+// trace, not the generator, becomes the ground truth. Every report line
+// goes to stdout, so tests can run the command in process.
+func traceCommand(stdout io.Writer) *cli.Command {
 	var (
 		record  bool
 		replay  string
@@ -43,17 +44,17 @@ func traceCommand() *cli.Command {
 			fs.StringVar(&out, "o", "out.trc", "output trace path")
 			fs.Uint64Var(&seed, "seed", 1, "generator seed for -record")
 			fs.StringVar(&cfgName, "config", "A", "system configuration for -replay")
-			fs.StringVar(&mode, "mode", "spcs", "policy for -replay: baseline, spcs or dpcs")
+			fs.StringVar(&mode, "mode", "spcs", "policy for -replay: baseline, SPCS or DPCS (any case)")
 			fs.Uint64Var(&warmup, "warmup", 100_000, "warm-up instructions for -replay")
 		},
 		Run: func(fs *flag.FlagSet) error {
 			switch {
 			case record:
-				return doRecord(bench, n, out, seed)
+				return doRecord(stdout, bench, n, out, seed)
 			case replay != "":
-				return doReplay(replay, cfgName, mode, warmup, seed)
+				return doReplay(stdout, replay, cfgName, mode, warmup, seed)
 			case info != "":
-				return doInfo(info)
+				return doInfo(stdout, info)
 			default:
 				return fmt.Errorf("pick a mode: -record, -replay file or -info file")
 			}
@@ -61,7 +62,7 @@ func traceCommand() *cli.Command {
 	}
 }
 
-func doRecord(bench string, n uint64, out string, seed uint64) error {
+func doRecord(stdout io.Writer, bench string, n uint64, out string, seed uint64) error {
 	w, ok := trace.ByName(bench)
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q (known: %v)", bench, trace.Names())
@@ -82,7 +83,7 @@ func doRecord(bench string, n uint64, out string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d instructions of %s to %s (%.2f bytes/instr)\n",
+	fmt.Fprintf(stdout, "recorded %d instructions of %s to %s (%.2f bytes/instr)\n",
 		n, bench, out, float64(st.Size())/float64(n))
 	return nil
 }
@@ -115,7 +116,15 @@ func openReplay(path string) (*trace.ReplayGenerator, func(), error) {
 	return gen, closeAll, nil
 }
 
-func doReplay(path, config, modeName string, warmup, seed uint64) error {
+func doReplay(stdout io.Writer, path, config, modeName string, warmup, seed uint64) error {
+	cfg, err := cpusim.ConfigByName(config)
+	if err != nil {
+		return err
+	}
+	m, err := core.ParseMode(modeName)
+	if err != nil {
+		return err
+	}
 	gen, closeAll, err := openReplay(path)
 	if err != nil {
 		return err
@@ -131,27 +140,6 @@ func doReplay(path, config, modeName string, warmup, seed uint64) error {
 		return fmt.Errorf("warm-up %d exceeds trace length %d", warmup, total)
 	}
 
-	var cfg cpusim.SystemConfig
-	switch config {
-	case "A", "a":
-		cfg = cpusim.ConfigA()
-	case "B", "b":
-		cfg = cpusim.ConfigB()
-	default:
-		return fmt.Errorf("unknown config %q", config)
-	}
-	var m core.Mode
-	switch modeName {
-	case "baseline":
-		m = core.Baseline
-	case "spcs":
-		m = core.SPCS
-	case "dpcs":
-		m = core.DPCS
-	default:
-		return fmt.Errorf("unknown mode %q", modeName)
-	}
-
 	res, err := cpusim.RunGenerator(cfg, m, gen, cpusim.RunOptions{
 		WarmupInstr: warmup, SimInstr: total - warmup, Seed: seed,
 	})
@@ -161,11 +149,11 @@ func doReplay(path, config, modeName string, warmup, seed uint64) error {
 	if err := gen.Err(); err != nil {
 		return err
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	return nil
 }
 
-func doInfo(path string) error {
+func doInfo(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -199,7 +187,7 @@ func doInfo(path string) error {
 			}
 		}
 	}
-	fmt.Printf("%s: %d instructions, %.1f%% memory ops (%.1f%% writes), data range [%#x, %#x]\n",
+	fmt.Fprintf(stdout, "%s: %d instructions, %.1f%% memory ops (%.1f%% writes), data range [%#x, %#x]\n",
 		path, total, 100*float64(mem)/float64(total),
 		100*float64(writes)/float64(maxU(mem, 1)), minA, maxA)
 	return nil

@@ -62,7 +62,7 @@ func main() {
 	}
 	c := cache.MustNew(cache.Config{Name: "demo", SizeBytes: sizeBytes,
 		Assoc: assoc, BlockBytes: blockBytes})
-	ctrl, err := core.NewController(core.DPCS, c, m, levels,
+	ctrl, err := core.NewController(c, m, levels,
 		cm.WithPCS(levels.FMBits()), 2e9, 20)
 	if err != nil {
 		log.Fatal(err)

@@ -56,19 +56,19 @@ func main() {
 			Name: "L1", SizeBytes: org.SizeBytes, Assoc: org.Assoc, BlockBytes: org.BlockBytes})
 		var ctrl *core.Controller
 		var err error
+		target := 0 // baseline: no transition, the cache stays at nominal
 		if mode == core.Baseline {
-			ctrl, err = core.NewController(mode, c, nil,
+			ctrl, err = core.NewController(c, nil,
 				faultmap.MustLevels(tech.VDDNom), power, 2e9, 0)
 		} else {
-			ctrl, err = core.NewController(mode, c, fmap, plan.Levels,
+			ctrl, err = core.NewController(c, fmap, plan.Levels,
 				power.WithPCS(plan.Levels.FMBits()), 2e9, 20)
+			target = plan.SPCSLevel
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if mode == core.SPCS {
-			core.ApplySPCS(ctrl, plan.SPCSLevel, nil)
-		}
+		core.NewStatic(ctrl, target).Start(nil)
 
 		// 5. Drive it with a synthetic workload (hits and misses both
 		// cost energy; misses cost 100 extra cycles here).

@@ -13,7 +13,6 @@ func benchInterval(b *testing.B, sink obs.PolicySink) {
 	r.pol.Start(nil)
 	r.pol.Arm(0)
 	r.ctrl.SetSink(sink)
-	r.pol.SetSink(sink)
 	settleAtFloor(b, r)
 	b.ReportAllocs()
 	b.ResetTimer()

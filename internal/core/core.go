@@ -17,6 +17,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/cacti"
@@ -51,6 +53,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode resolves a mode name as String prints it, in any case and
+// with surrounding space ignored.
+func ParseMode(name string) (Mode, error) {
+	for m := Baseline; m <= DPCS; m++ {
+		if strings.EqualFold(strings.TrimSpace(name), m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown mode %q (want baseline, SPCS or DPCS)", name)
+}
+
 // TransitionResult reports what one voltage transition did.
 type TransitionResult struct {
 	// FromLevel and ToLevel are 1-based VDD levels.
@@ -69,12 +82,11 @@ type TransitionResult struct {
 }
 
 // Controller manages one PCS-enabled cache instance: its fault map, its
-// current voltage level, and its energy accounting. A Controller with
-// Mode Baseline has no fault map and stays at the top level.
+// current voltage level, and its energy accounting. A Controller without
+// a fault map (a baseline cache) stays at the top level.
 type Controller struct {
-	Mode   Mode
 	Cache  *cache.Cache
-	Map    *faultmap.Map // nil in Baseline mode
+	Map    *faultmap.Map // nil for a baseline cache
 	Levels faultmap.Levels
 	Power  *cacti.Model
 	// VoltagePenaltyCycles is the data-array supply settling time added
@@ -85,6 +97,10 @@ type Controller struct {
 
 	level     int // current 1-based VDD level
 	lastCycle uint64
+	// nextDecision is the access count at which the policy makes its
+	// next decision (see Due). It stays at the maximum until a policy
+	// that decides at run time schedules one.
+	nextDecision uint64
 
 	// Per-access dynamic energies at the current level, cached so the
 	// access hot path avoids recomputing cacti's power-law model (a
@@ -137,18 +153,15 @@ type Controller struct {
 }
 
 // NewController wires a cache, fault map and power model together.
-// For Baseline mode pass a nil map; the controller pins the top level.
-func NewController(mode Mode, c *cache.Cache, m *faultmap.Map, levels faultmap.Levels, power *cacti.Model, clockHz float64, voltagePenalty uint64) (*Controller, error) {
+// For a baseline cache pass a nil map; the controller pins the top level.
+func NewController(c *cache.Cache, m *faultmap.Map, levels faultmap.Levels, power *cacti.Model, clockHz float64, voltagePenalty uint64) (*Controller, error) {
 	if c == nil || power == nil {
 		return nil, fmt.Errorf("core: nil cache or power model")
 	}
 	if levels.N() == 0 {
 		return nil, fmt.Errorf("core: empty voltage levels")
 	}
-	if mode != Baseline {
-		if m == nil {
-			return nil, fmt.Errorf("core: %v mode requires a fault map", mode)
-		}
+	if m != nil {
 		if m.NumBlocks() != c.NumBlocks() {
 			return nil, fmt.Errorf("core: fault map has %d blocks, cache has %d",
 				m.NumBlocks(), c.NumBlocks())
@@ -162,7 +175,6 @@ func NewController(mode Mode, c *cache.Cache, m *faultmap.Map, levels faultmap.L
 		return nil, fmt.Errorf("core: non-positive clock %v", clockHz)
 	}
 	ct := &Controller{
-		Mode:                 mode,
 		Cache:                c,
 		Map:                  m,
 		Levels:               levels,
@@ -170,9 +182,10 @@ func NewController(mode Mode, c *cache.Cache, m *faultmap.Map, levels faultmap.L
 		VoltagePenaltyCycles: voltagePenalty,
 		ClockHz:              clockHz,
 		level:                levels.N(),
+		nextDecision:         math.MaxUint64,
 		timeAtLevelCycles:    make([]uint64, levels.N()),
 	}
-	if mode != Baseline {
+	if m != nil {
 		for b, n := 0, m.NumBlocks(); b < n; b++ {
 			if fm := m.FM(b); fm > 0 {
 				ct.deltaIdx = append(ct.deltaIdx, int32(b))
@@ -191,11 +204,19 @@ func (ct *Controller) refreshAccessEnergy() {
 	ct.writeAccessJ = ct.Power.AccessEnergy(ct.VDD(), true).TotalPJ * 1e-12
 }
 
-// SetSink attaches a telemetry sink. Every subsequent Transition call
-// emits exactly one DecisionTransition event, so counting those events
-// reconciles with Transitions() and summing their Writebacks fields with
-// TransitionWritebacks(). A nil sink disables emission.
+// SetSink attaches the cache's telemetry sink. Every subsequent
+// Transition call emits exactly one DecisionTransition event, so
+// counting those events reconciles with Transitions() and summing their
+// Writebacks fields with TransitionWritebacks(); the cache's DPCS policy
+// records its interval decisions here too. A nil sink disables emission.
 func (ct *Controller) SetSink(s obs.PolicySink) { ct.obsSink = s }
+
+// Due reports whether the access count has reached the next scheduled
+// decision, the only point at which the cache's policy can act. A
+// policy that never decides at run time (baseline, SPCS) schedules
+// none, so its controller is never due. Simulators gate every policy
+// Tick behind Due on the per-access path, so it must stay inlinable.
+func (ct *Controller) Due() bool { return ct.Cache.Accesses() >= ct.nextDecision }
 
 // Level returns the current 1-based VDD level.
 func (ct *Controller) Level() int { return ct.level }
@@ -250,8 +271,8 @@ func (ct *Controller) OnFill() {
 // stall is PenaltyCycles, which the caller adds to execution time (and
 // subsequent AdvanceTo calls then charge its static energy).
 func (ct *Controller) Transition(next int, now uint64, sink func(addr uint64)) TransitionResult {
-	if ct.Mode == Baseline {
-		panic("core: Transition on a baseline controller")
+	if ct.Map == nil {
+		panic("core: Transition on a controller without a fault map")
 	}
 	if next < 1 || next > ct.Levels.N() {
 		panic(fmt.Sprintf("core: transition to level %d out of 1..%d", next, ct.Levels.N()))

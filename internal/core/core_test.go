@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -47,7 +48,7 @@ func newRig(t *testing.T, mode Mode) *testRig {
 	if mode != Baseline {
 		cm = cm.WithPCS(levels.FMBits())
 	}
-	ctrl, err := NewController(mode, c, m, levels, cm, 2e9, 20)
+	ctrl, err := NewController(c, m, levels, cm, 2e9, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestBaselineControllerRejectsTransition(t *testing.T) {
 	c := cache.MustNew(cache.Config{Name: "b", SizeBytes: 16 << 10, Assoc: 4, BlockBytes: 64})
 	org := cacti.Org{Name: "b", SizeBytes: 16 << 10, Assoc: 4, BlockBytes: 64, AddrBits: 40}
 	cm, _ := cacti.New(org, device.Tech45SOI(), cacti.DefaultParams())
-	ctrl, err := NewController(Baseline, c, nil, faultmap.MustLevels(1.0), cm, 2e9, 0)
+	ctrl, err := NewController(c, nil, faultmap.MustLevels(1.0), cm, 2e9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,17 +212,17 @@ func TestNewControllerValidation(t *testing.T) {
 	levels := r.levels
 	org := cacti.Org{Name: "t", SizeBytes: 16 << 10, Assoc: 4, BlockBytes: 64, AddrBits: 40}
 	cm, _ := cacti.New(org, device.Tech45SOI(), cacti.DefaultParams())
-	if _, err := NewController(SPCS, r.cache, nil, levels, cm, 2e9, 0); err == nil {
-		t.Error("nil map accepted for SPCS")
+	if _, err := NewController(r.cache, r.fmap, faultmap.MustLevels(0.70, 1.00), cm, 2e9, 0); err == nil {
+		t.Error("map of three levels accepted for two")
 	}
 	wrongMap := faultmap.NewMap(levels, 8)
-	if _, err := NewController(SPCS, r.cache, wrongMap, levels, cm, 2e9, 0); err == nil {
+	if _, err := NewController(r.cache, wrongMap, levels, cm, 2e9, 0); err == nil {
 		t.Error("mismatched map size accepted")
 	}
-	if _, err := NewController(SPCS, r.cache, r.fmap, levels, cm, 0, 0); err == nil {
+	if _, err := NewController(r.cache, r.fmap, levels, cm, 0, 0); err == nil {
 		t.Error("zero clock accepted")
 	}
-	if _, err := NewController(SPCS, nil, r.fmap, levels, cm, 2e9, 0); err == nil {
+	if _, err := NewController(nil, r.fmap, levels, cm, 2e9, 0); err == nil {
 		t.Error("nil cache accepted")
 	}
 }
@@ -254,6 +255,22 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() == "" {
 		t.Error("unknown mode string empty")
+	}
+}
+
+// TestParseMode checks every mode name resolves in any case and with
+// surrounding space, and an unknown name fails.
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{Baseline, SPCS, DPCS} {
+		for _, name := range []string{m.String(), strings.ToLower(m.String()), strings.ToUpper(m.String()), " \t" + m.String() + "\n"} {
+			got, err := ParseMode(name)
+			if err != nil || got != m {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, m)
+			}
+		}
+	}
+	if _, err := ParseMode("nosuch"); err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Errorf("ParseMode(nosuch) error = %v", err)
 	}
 }
 
@@ -340,9 +357,9 @@ func TestEnsureAndRepairSets(t *testing.T) {
 func TestTransitionBookkeepingAccessors(t *testing.T) {
 	r := newRig(t, SPCS)
 	r.cache.Access(0, true) // dirty block in a level-2-faulty frame
-	res := ApplySPCS(r.ctrl, 2, nil)
+	res := r.ctrl.Transition(2, 0, nil)
 	if res.ToLevel != 2 {
-		t.Fatal("ApplySPCS level")
+		t.Fatal("transition level")
 	}
 	if r.ctrl.Transitions() != 1 {
 		t.Errorf("transitions %d", r.ctrl.Transitions())

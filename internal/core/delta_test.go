@@ -76,7 +76,7 @@ func TestTransitionDeltaMatchesFullWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewController(SPCS, cDelta, mDelta, levels, cm.WithPCS(levels.FMBits()), 2e9, 20)
+	ctrl, err := NewController(cDelta, mDelta, levels, cm.WithPCS(levels.FMBits()), 2e9, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

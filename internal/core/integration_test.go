@@ -41,7 +41,7 @@ func TestBISTDrivenController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewController(DPCS, c, m, levels, cm.WithPCS(levels.FMBits()), 1e9, 10)
+	ctrl, err := NewController(c, m, levels, cm.WithPCS(levels.FMBits()), 1e9, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTransitionSequencesPreserveInvariants(t *testing.T) {
 		for b := 0; b < c.NumBlocks(); b++ {
 			m.SetFM(b, rng.Intn(3)) // 0..2 so the top level always works
 		}
-		ctrl, err := NewController(DPCS, c, m, levels, cm.WithPCS(2), 1e9, 5)
+		ctrl, err := NewController(c, m, levels, cm.WithPCS(2), 1e9, 5)
 		if err != nil {
 			return false
 		}

@@ -7,12 +7,33 @@ import (
 	"repro/internal/obs"
 )
 
-// ApplySPCS moves a controller to its SPCS operating point (the given
-// 1-based level, normally the VDD2 computed by SelectLevels) at time
-// zero. SPCS performs exactly one transition for the whole runtime.
-func ApplySPCS(ct *Controller, spcsLevel int, sink func(addr uint64)) TransitionResult {
-	return ct.Transition(spcsLevel, 0, sink)
+// StaticPolicy holds a cache at one voltage for the whole run. SPCS
+// moves it once, at cycle 0, to its SPCS level (the VDD2 computed by
+// SelectLevels); baseline has no target level and leaves the controller
+// at nominal. It schedules no decision, so its controller is never Due.
+type StaticPolicy struct {
+	ctrl  *Controller
+	level int // 1-based target level; 0 keeps the top level
 }
+
+// NewStatic returns the static policy that moves ctrl to level at
+// start; level 0 makes no transition (baseline).
+func NewStatic(ctrl *Controller, level int) *StaticPolicy {
+	return &StaticPolicy{ctrl: ctrl, level: level}
+}
+
+// Start makes the policy's one transition, if it has a target level.
+func (p *StaticPolicy) Start(sink func(addr uint64)) {
+	if p.level > 0 {
+		p.ctrl.Transition(p.level, 0, sink)
+	}
+}
+
+// Arm does nothing: a static policy makes no run-time decisions.
+func (*StaticPolicy) Arm(now uint64) {}
+
+// Tick does nothing: a static policy makes no run-time decisions.
+func (*StaticPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) { return 0 }
 
 // DPCSConfig holds the dynamic policy's tuning knobs (Table 2).
 type DPCSConfig struct {
@@ -103,9 +124,8 @@ type DPCSPolicy struct {
 	// naatMr is the miss rate observed when naat was last refreshed,
 	// used as a stationarity check before trusting naat enough to skip
 	// a recalibration.
-	naatMr       float64
-	statsAtMark  cache.Stats
-	nextSampleAt uint64 // access count at which the next decision fires
+	naatMr      float64
+	statsAtMark cache.Stats
 	// holdUntilReset latches after a performance-triggered up-transition:
 	// descending again before the next NAAT recalibration would thrash
 	// (each descent invalidates the newly-faulty blocks, and refetching
@@ -129,8 +149,6 @@ type DPCSPolicy struct {
 	// one-time refill of invalidated blocks, and punishing that
 	// transient would latch every level as bad.
 	graceLeft int
-	// armed gates the decision machinery; see Arm.
-	armed bool
 	// lastTickCycle is the cycle count at the previous interval
 	// boundary, used to measure each window's wall-clock span.
 	lastTickCycle uint64
@@ -147,10 +165,6 @@ type DPCSPolicy struct {
 
 	// Decision counters for reports.
 	Ups, Downs, Resets int
-
-	// sink, when non-nil, receives one typed obs.PolicyEvent per interval
-	// decision; see SetSink.
-	sink obs.PolicySink
 }
 
 // phaseChangeRelDiff is the relative miss-rate change that counts as a
@@ -163,59 +177,48 @@ const phaseChangeRelDiff = 0.6
 // detector, so near-zero miss rates do not trigger on noise.
 const phaseChangeAbsDiff = 0.02
 
-// NewDPCS attaches the dynamic policy to a controller. The controller
-// must be in DPCS mode.
+// NewDPCS attaches the dynamic policy to a controller, which must have
+// a fault map to move across.
 func NewDPCS(cfg DPCSConfig, ctrl *Controller) (*DPCSPolicy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if ctrl.Mode != DPCS {
-		return nil, fmt.Errorf("core: controller mode %v, want DPCS", ctrl.Mode)
+	if ctrl.Map == nil {
+		return nil, fmt.Errorf("core: DPCS needs a controller with a fault map")
 	}
 	if cfg.SPCSLevel > ctrl.Levels.N() {
 		return nil, fmt.Errorf("core: SPCS level %d exceeds %d levels", cfg.SPCSLevel, ctrl.Levels.N())
 	}
-	return &DPCSPolicy{
-		cfg:          cfg,
-		ctrl:         ctrl,
-		statsAtMark:  ctrl.Cache.Stats(),
-		nextSampleAt: ctrl.Cache.Stats().Accesses + cfg.Interval,
-	}, nil
+	return &DPCSPolicy{cfg: cfg, ctrl: ctrl}, nil
 }
 
 // Start performs DPCS's initial transition to the SPCS voltage (the
 // policy begins at its ceiling and works downward as Listing 1 allows).
 // The decision machinery stays dormant until Arm is called.
-func (d *DPCSPolicy) Start(sink func(addr uint64)) TransitionResult {
-	return d.ctrl.Transition(d.cfg.SPCSLevel, 0, sink)
+func (d *DPCSPolicy) Start(sink func(addr uint64)) {
+	d.ctrl.Transition(d.cfg.SPCSLevel, 0, sink)
 }
 
-// SetSink attaches a telemetry sink receiving one typed event per
-// interval decision (the structured successor of the old printf trace
-// hook). With a nil sink — or obs.NopSink — the policy's per-tick path
-// performs zero heap allocations. Attach the same sink to the
-// controller (Controller.SetSink) to also capture the raw Listing-2
-// transition events.
-func (d *DPCSPolicy) SetSink(s obs.PolicySink) { d.sink = s }
-
-// emit forwards one decision event, filling in the cache identity.
+// emit records one decision event on the controller's sink, filling in
+// the cache identity. With no sink — or obs.NopSink — the policy's
+// per-tick path performs zero heap allocations.
 func (d *DPCSPolicy) emit(ev obs.PolicyEvent) {
-	if d.sink == nil {
+	if d.ctrl.obsSink == nil {
 		return
 	}
 	ev.CacheName = d.ctrl.Cache.Name()
-	d.sink.Record(ev)
+	d.ctrl.obsSink.Record(ev)
 }
 
 // Arm activates the decision machinery, marking the current statistics
-// as the first interval's start. Simulators call it after cache warm-up
-// (mirroring the paper's gem5 fast-forward before detailed simulation)
-// so the first NAAT sample reflects warm caches rather than cold-start
-// compulsory misses.
+// as the first interval's start and scheduling the first decision on
+// the controller. Simulators call it after cache warm-up (mirroring the
+// paper's gem5 fast-forward before detailed simulation) so the first
+// NAAT sample reflects warm caches rather than cold-start compulsory
+// misses.
 func (d *DPCSPolicy) Arm(now uint64) {
-	d.armed = true
 	d.statsAtMark = d.ctrl.Cache.Stats()
-	d.nextSampleAt = d.statsAtMark.Accesses + d.cfg.Interval
+	d.ctrl.nextDecision = d.statsAtMark.Accesses + d.cfg.Interval
 	d.intervalCount = 0
 	d.lastTickCycle = now
 }
@@ -236,34 +239,24 @@ func (d *DPCSPolicy) amortisedPenalty() float64 {
 	return float64(tp) / float64(d.cfg.Interval)
 }
 
-// Due reports whether the next access-count interval boundary has been
-// reached — the only condition under which Tick can act. Between
-// boundaries the policy is provably quiescent: it holds no per-access
-// state (energy and time-at-level integrate lazily in the controller's
-// AdvanceTo), so simulators fast-forward by gating Tick behind Due and
-// skipping the call entirely on the (vastly more common) negative. The
-// check reads one counter and must stay inlinable.
-func (d *DPCSPolicy) Due() bool {
-	return d.armed && d.ctrl.Cache.Accesses() >= d.nextSampleAt
-}
-
 // Tick runs the policy after a cache access. now is the current cycle.
-// If the access count has crossed an interval boundary the policy makes
-// its Listing-1 decision; any resulting transition's stall cycles are
-// returned for the caller to add to execution time (zero otherwise).
-// Tick re-checks Due's condition itself, so calling it without the Due
-// gate is merely slower, never different.
+// If the access count has reached the scheduled interval boundary the
+// policy makes its Listing-1 decision and schedules the next one; any
+// resulting transition's stall cycles are returned for the caller to
+// add to execution time (zero otherwise). Between boundaries the policy
+// is provably quiescent: it holds no per-access state (energy and
+// time-at-level integrate lazily in the controller's AdvanceTo), so
+// simulators gate Tick behind Controller.Due and skip the call on the
+// (vastly more common) negative. Tick re-checks Due itself, so calling
+// it without the gate is merely slower, never different.
 func (d *DPCSPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) {
-	if !d.armed {
+	if !d.ctrl.Due() {
 		return 0
 	}
 	cur := d.ctrl.Cache.Stats()
-	if cur.Accesses < d.nextSampleAt {
-		return 0
-	}
 	window := cur.Sub(d.statsAtMark)
 	d.statsAtMark = cur
-	d.nextSampleAt = cur.Accesses + d.cfg.Interval
+	d.ctrl.nextDecision = cur.Accesses + d.cfg.Interval
 	windowCycles := now - d.lastTickCycle
 	d.lastTickCycle = now
 	refills := d.ctrl.RefillMisses() - d.lastRefillMisses

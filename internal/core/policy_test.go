@@ -32,7 +32,7 @@ func newPolicyRig(t testing.TB) *policyRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewController(DPCS, c, m, levels, cm.WithPCS(2), 2e9, 20)
+	ctrl, err := NewController(c, m, levels, cm.WithPCS(2), 2e9, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,20 +103,20 @@ func TestDPCSConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNewDPCSRequiresDPCSMode(t *testing.T) {
-	r := newRig(t, SPCS)
+func TestNewDPCSRequiresFaultMap(t *testing.T) {
+	r := newRig(t, Baseline)
 	_, err := NewDPCS(DPCSConfig{Interval: 10, SuperInterval: 5, LowThreshold: 0.01,
 		HighThreshold: 0.05, HitCycles: 2, MissPenaltyCycles: 10, SPCSLevel: 2}, r.ctrl)
 	if err == nil {
-		t.Error("SPCS-mode controller accepted")
+		t.Error("controller without a fault map accepted")
 	}
 }
 
 func TestStartMovesToSPCSLevel(t *testing.T) {
 	r := newPolicyRig(t)
-	res := r.pol.Start(nil)
-	if res.ToLevel != 2 || r.ctrl.Level() != 2 {
-		t.Fatalf("start level %d", r.ctrl.Level())
+	r.pol.Start(nil)
+	if r.ctrl.Level() != 2 || r.ctrl.Transitions() != 1 {
+		t.Fatalf("start level %d after %d transitions", r.ctrl.Level(), r.ctrl.Transitions())
 	}
 }
 

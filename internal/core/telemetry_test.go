@@ -37,7 +37,6 @@ func TestTickZeroAllocsWhenTracingOff(t *testing.T) {
 			r.pol.Start(nil)
 			r.pol.Arm(0)
 			r.ctrl.SetSink(tc.sink)
-			r.pol.SetSink(tc.sink)
 			settleAtFloor(t, r)
 			avg := testing.AllocsPerRun(50, func() {
 				for i := 0; i < int(r.cfg.Interval); i++ {
@@ -61,7 +60,6 @@ func TestPolicyEmitsTypedDecisions(t *testing.T) {
 	r := newPolicyRig(t)
 	col := &obs.Collector{}
 	r.ctrl.SetSink(col)
-	r.pol.SetSink(col)
 	r.pol.Start(nil)
 	r.pol.Arm(0)
 	for i := 0; i < 2*r.cfg.SuperInterval; i++ {

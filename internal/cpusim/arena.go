@@ -16,26 +16,20 @@ import (
 )
 
 // Arena owns the reusable simulation state for one worker goroutine:
-// cache structures, fault-map buffers, the trace block and the RNGs
-// used during system construction. Consecutive NewSystemArena calls on
-// the same arena recycle this memory instead of reallocating it, which
-// is what makes short campaign cells cheap (DESIGN.md §13).
+// cache structures, fault-map buffers and the trace block. Consecutive
+// NewSystemArena calls on the same arena recycle this memory instead of
+// reallocating it, which is what makes short campaign cells cheap
+// (DESIGN.md §13).
 //
 // Ownership contract: an Arena is confined to one goroutine, and a
 // System built on it is valid only until the next NewSystemArena call
 // on the same arena — building the next system resets the caches and
 // fault maps the previous one still points at. Results are safe to
 // retain (Result carries only copies). Callers that need several live
-// Systems at once (internal/multicore) must not share one arena.
+// Systems at once must not share one arena.
 type Arena struct {
 	caches map[cache.Config]*cache.Cache
 	maps   map[cache.Config]*mapEntry
-	// rngRoot/rngLevel replay NewSystem's seeding draws in place:
-	// rngLevel.Reseed(rngRoot.Uint64()) reproduces rngRoot.Split()
-	// exactly (see stats.RNG.Reseed), so warm and cold construction
-	// consume identical streams.
-	rngRoot  stats.RNG
-	rngLevel stats.RNG
 	// block is the trace pipe's buffer for every run on this arena.
 	block []trace.Instr
 }
@@ -143,14 +137,14 @@ func baseStaticsFor(org cacti.Org) (baseStatics, error) {
 	})
 }
 
-func pcsStaticsFor(org cacti.Org, geom faultmodel.Geometry, ber sram.BERModel) (pcsStatics, error) {
+func pcsStaticsFor(org cacti.Org, geom faultmodel.Geometry) (pcsStatics, error) {
 	return memo.Get(statics.Load(), pcsKey{org: org}, func() (pcsStatics, error) {
 		base, err := baseStaticsFor(org)
 		if err != nil {
 			return pcsStatics{}, err
 		}
 		tech := device.Tech45SOI()
-		fm, err := faultmodel.New(geom, ber)
+		fm, err := faultmodel.New(geom, sram.NewWangCalhounBER())
 		if err != nil {
 			return pcsStatics{}, err
 		}

@@ -112,7 +112,7 @@ func TestBlockLoopZeroAllocs(t *testing.T) {
 	if err := sys.simulate(ctx, p, 200_000); err != nil {
 		t.Fatal(err)
 	}
-	sys.armPolicies()
+	sys.arm()
 	avg := testing.AllocsPerRun(200, func() {
 		if err := sys.simulate(ctx, p, trace.BlockSize); err != nil {
 			t.Fatal(err)

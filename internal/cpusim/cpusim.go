@@ -25,6 +25,7 @@ package cpusim
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/cacti"
@@ -33,7 +34,6 @@ import (
 	"repro/internal/faultmodel"
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
-	"repro/internal/sram"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -121,6 +121,19 @@ func ConfigB() SystemConfig {
 	}
 }
 
+// ConfigByName resolves a Table 2 configuration name, "A" or "B"
+// (case-insensitive, surrounding space ignored; empty means A).
+func ConfigByName(name string) (SystemConfig, error) {
+	switch strings.ToUpper(strings.TrimSpace(name)) {
+	case "", "A":
+		return ConfigA(), nil
+	case "B":
+		return ConfigB(), nil
+	default:
+		return SystemConfig{}, fmt.Errorf("cpusim: unknown system config %q (want A or B)", name)
+	}
+}
+
 // RunOptions control one simulation.
 type RunOptions struct {
 	// WarmupInstr instructions run before measurement starts (the
@@ -177,29 +190,53 @@ type Result struct {
 	TotalCacheEnergyJ float64
 }
 
-// level wires one cache's simulator state together.
-type level struct {
-	spec CacheSpec
-	ctrl *core.Controller
-	dpcs *core.DPCSPolicy
-	plan core.LevelPlan
+// Policy decides when one cache level changes voltage. A run calls
+// Start once at cycle 0, Arm once after warm-up, and Tick whenever the
+// level's controller is Due (core.Controller.Due) after an access. A
+// policy that makes no run-time decisions schedules none, so its
+// controller is never Due and Tick is never reached. core.DPCSPolicy
+// and core.StaticPolicy implement it.
+type Policy interface {
+	// Start makes the initial transition, writing back through sink.
+	Start(sink func(addr uint64))
+	// Arm starts run-time decisions after warm-up; now is the cycle.
+	Arm(now uint64)
+	// Tick decides at a scheduled boundary and returns the stall.
+	Tick(now uint64, sink func(addr uint64)) (stall uint64)
+}
+
+// The levels of a system, in build order: level k draws its fault map
+// from the k-th RNG stream of the system's seed.
+const (
+	L1I = iota
+	L1D
+	L2
+)
+
+// Level is one cache of a hierarchy: the controller that owns the
+// cache, its fault map and its energy account, and the policy that
+// moves its voltage.
+type Level struct {
+	Ctrl *core.Controller
+	Pol  Policy
+	// Timed is set when Pol makes run-time decisions (DPCS), which read
+	// the clock. A simulator that advances a shared clock lazily (the
+	// multi-core L2) keeps it current only for a timed level.
+	Timed bool
 }
 
 // System is a configured simulator instance.
 type System struct {
-	cfg    SystemConfig
-	mode   core.Mode
-	ber    sram.BERModel
-	l1i    *level
-	l1d    *level
-	l2     *level
-	cycles uint64
+	cfg          SystemConfig
+	mode         core.Mode
+	l1i, l1d, l2 Level
+	cycles       uint64
+	// toL2 is writebackToL2 bound once, so handing it to a policy's Tick
+	// through the Policy interface does not allocate per decision.
+	toL2 func(addr uint64)
 	// arena, when non-nil, owns this system's caches, fault maps and
 	// trace block; the system is valid until the arena's next build.
 	arena *Arena
-	// seed is the construction seed, kept so the arena can key its
-	// pristine fault-map snapshots (see Arena.faultMapFor).
-	seed uint64
 }
 
 // NewSystem builds the three cache levels for the given mode, deriving
@@ -216,42 +253,33 @@ func NewSystem(cfg SystemConfig, mode core.Mode, seed uint64) (*System, error) {
 // arena supplies the memory without allocating. The returned System is
 // valid only until the next NewSystemArena call on the same arena.
 func NewSystemArena(a *Arena, cfg SystemConfig, mode core.Mode, seed uint64) (*System, error) {
-	ber := sram.NewWangCalhounBER()
-	sys := &System{cfg: cfg, mode: mode, ber: ber, arena: a, seed: seed}
-	var root *stats.RNG
-	if a != nil {
-		a.rngRoot.Reseed(seed ^ 0x9C5_DEAD)
-		root = &a.rngRoot
-	} else {
-		root = stats.NewRNG(seed ^ 0x9C5_DEAD)
-	}
-	// split reproduces root.Split() without allocating on the arena
-	// path; the single rngLevel is safe because each buildLevel call
-	// finishes with its RNG before the next begins.
-	split := func() *stats.RNG {
-		if a != nil {
-			a.rngLevel.Reseed(root.Uint64())
-			return &a.rngLevel
+	sys := &System{cfg: cfg, mode: mode, arena: a}
+	sys.toL2 = sys.writebackToL2
+	for k, lv := range sys.levels() {
+		var err error
+		if *lv, err = NewLevel(a, cfg, mode, seed, k); err != nil {
+			return nil, err
 		}
-		return root.Split()
-	}
-	var err error
-	if sys.l1i, err = sys.buildLevel(cfg.L1I, split()); err != nil {
-		return nil, err
-	}
-	if sys.l1d, err = sys.buildLevel(cfg.L1D, split()); err != nil {
-		return nil, err
-	}
-	if sys.l2, err = sys.buildLevel(cfg.L2, split()); err != nil {
-		return nil, err
 	}
 	return sys, nil
 }
 
-func (s *System) buildLevel(spec CacheSpec, rng *stats.RNG) (*level, error) {
+// levels lists the system's levels in build order.
+func (s *System) levels() [3]*Level { return [3]*Level{&s.l1i, &s.l1d, &s.l2} }
+
+// NewLevel builds level k (L1I, L1D or L2) of the system that
+// NewSystemArena(a, cfg, mode, seed) builds: its cache, its fault map
+// (none for baseline), its controller and its policy. It is the one
+// place a Mode chooses behaviour. internal/multicore builds its private
+// L1s and its shared L2 from it, with a nil arena.
+func NewLevel(a *Arena, cfg SystemConfig, mode core.Mode, seed uint64, k int) (Level, error) {
+	if mode < core.Baseline || mode > core.DPCS {
+		return Level{}, fmt.Errorf("cpusim: unknown mode %v", mode)
+	}
+	spec := [...]CacheSpec{cfg.L1I, cfg.L1D, cfg.L2}[k]
 	base, err := baseStaticsFor(spec.Org)
 	if err != nil {
-		return nil, err
+		return Level{}, err
 	}
 	ccfg := cache.Config{
 		Name:       spec.Org.Name,
@@ -260,138 +288,119 @@ func (s *System) buildLevel(spec CacheSpec, rng *stats.RNG) (*level, error) {
 		BlockBytes: spec.Org.BlockBytes,
 	}
 	var c *cache.Cache
-	if s.arena != nil {
-		c = s.arena.cacheFor(ccfg)
+	if a != nil {
+		c = a.cacheFor(ccfg)
 	} else {
 		c = cache.MustNew(ccfg)
 	}
 
-	lv := &level{spec: spec}
-	if s.mode == core.Baseline {
-		ctrl, err := core.NewController(core.Baseline, c, nil, base.nomLevels, base.cm, s.cfg.ClockHz, 0)
+	if mode == core.Baseline {
+		ctrl, err := core.NewController(c, nil, base.nomLevels, base.cm, cfg.ClockHz, 0)
 		if err != nil {
-			return nil, err
+			return Level{}, err
 		}
-		lv.ctrl = ctrl
-		return lv, nil
+		return Level{Ctrl: ctrl, Pol: core.NewStatic(ctrl, 0)}, nil
 	}
 
 	geom := faultmodel.Geometry{Sets: c.Sets(), Ways: c.Ways(), BlockBits: spec.Org.BlockBits()}
-	pcs, err := pcsStaticsFor(spec.Org, geom, s.ber)
+	pcs, err := pcsStaticsFor(spec.Org, geom)
 	if err != nil {
-		return nil, err
+		return Level{}, err
 	}
-	lv.plan = pcs.plan
+	// Level k's stream is the k-th Split of the system's root stream:
+	// a generator seeded with the root's (k+1)-th draw.
+	var rng stats.RNG
+	rng.Reseed(seed ^ 0x9C5_DEAD)
+	for i := 0; i < k; i++ {
+		rng.Uint64()
+	}
+	rng.Reseed(rng.Uint64())
 	var m *faultmap.Map
-	if s.arena != nil {
-		m = s.arena.faultMapFor(ccfg, pcs.plan, c.NumBlocks(), s.seed, rng)
+	if a != nil {
+		m = a.faultMapFor(ccfg, pcs.plan, c.NumBlocks(), seed, &rng)
 	} else {
-		m = core.PopulateMapMonteCarlo(rng, pcs.plan, c.NumBlocks())
+		m = core.PopulateMapMonteCarlo(&rng, pcs.plan, c.NumBlocks())
 	}
 	if bad := core.EnsureSetsUsable(m, c.Sets(), c.Ways(), 1); len(bad) > 0 {
 		core.RepairSets(m, c.Ways(), bad)
 	}
-	ctrl, err := core.NewController(s.mode, c, m, pcs.plan.Levels, pcs.pcsCM, s.cfg.ClockHz, spec.VoltagePenaltyCycles)
+	ctrl, err := core.NewController(c, m, pcs.plan.Levels, pcs.pcsCM, cfg.ClockHz, spec.VoltagePenaltyCycles)
 	if err != nil {
-		return nil, err
+		return Level{}, err
 	}
-	lv.ctrl = ctrl
+	if mode == core.SPCS {
+		return Level{Ctrl: ctrl, Pol: core.NewStatic(ctrl, pcs.plan.SPCSLevel)}, nil
+	}
 
-	if s.mode == core.DPCS {
-		missPenalty := float64(s.cfg.L2.HitCycles)
-		if spec.Org.SerialTagData { // this is the L2: misses go to memory
-			missPenalty = float64(s.cfg.MemCycles)
-		}
-		pol, err := core.NewDPCS(core.DPCSConfig{
-			Interval:          spec.Interval,
-			SuperInterval:     s.cfg.SuperInterval,
-			LowThreshold:      s.cfg.LowThreshold,
-			HighThreshold:     s.cfg.HighThreshold,
-			HitCycles:         float64(spec.HitCycles),
-			MissPenaltyCycles: missPenalty,
-			SPCSLevel:         pcs.plan.SPCSLevel,
-			Ablate:            s.cfg.Ablate,
-		}, ctrl)
-		if err != nil {
-			return nil, err
-		}
-		lv.dpcs = pol
+	missPenalty := float64(cfg.L2.HitCycles)
+	if spec.Org.SerialTagData { // this is the L2: misses go to memory
+		missPenalty = float64(cfg.MemCycles)
 	}
-	return lv, nil
-}
-
-// SetSink attaches a telemetry sink to every cache level's controller
-// and DPCS policy. Call it before running; the run records the initial
-// SPCS/DPCS transitions too. A nil sink detaches telemetry.
-func (s *System) SetSink(sink obs.PolicySink) {
-	for _, lv := range []*level{s.l1i, s.l1d, s.l2} {
-		lv.ctrl.SetSink(sink)
-		if lv.dpcs != nil {
-			lv.dpcs.SetSink(sink)
-		}
+	pol, err := core.NewDPCS(core.DPCSConfig{
+		Interval:          spec.Interval,
+		SuperInterval:     cfg.SuperInterval,
+		LowThreshold:      cfg.LowThreshold,
+		HighThreshold:     cfg.HighThreshold,
+		HitCycles:         float64(spec.HitCycles),
+		MissPenaltyCycles: missPenalty,
+		SPCSLevel:         pcs.plan.SPCSLevel,
+		Ablate:            cfg.Ablate,
+	}, ctrl)
+	if err != nil {
+		return Level{}, err
 	}
-}
-
-// start applies the initial policy transition (SPCS and DPCS both begin
-// at the SPCS voltage; baseline stays at nominal).
-func (s *System) start() {
-	sinkL2 := s.writebackToL2
-	switch s.mode {
-	case core.SPCS:
-		core.ApplySPCS(s.l1i.ctrl, s.l1i.plan.SPCSLevel, sinkL2)
-		core.ApplySPCS(s.l1d.ctrl, s.l1d.plan.SPCSLevel, sinkL2)
-		core.ApplySPCS(s.l2.ctrl, s.l2.plan.SPCSLevel, s.writebackToMem)
-	case core.DPCS:
-		s.l1i.dpcs.Start(sinkL2)
-		s.l1d.dpcs.Start(sinkL2)
-		s.l2.dpcs.Start(s.writebackToMem)
-	}
-}
-
-// armPolicies activates the DPCS decision machinery after warm-up.
-func (s *System) armPolicies() {
-	for _, lv := range []*level{s.l1i, s.l1d, s.l2} {
-		if lv.dpcs != nil {
-			lv.dpcs.Arm(s.cycles)
-		}
-	}
+	return Level{Ctrl: ctrl, Pol: pol, Timed: true}, nil
 }
 
 // writebackToL2 pushes an L1 writeback into the L2 (energy, no stall).
 func (s *System) writebackToL2(addr uint64) {
-	res := s.l2.ctrl.Cache.Access(addr, true)
-	s.l2.ctrl.OnAccess(true)
+	res := s.l2.Ctrl.Cache.Access(addr, true)
+	s.l2.Ctrl.OnAccess(true)
 	if res.Fill && !res.Hit {
-		s.l2.ctrl.OnFill()
+		s.l2.Ctrl.OnFill()
 	}
 	if res.Writeback {
-		s.writebackToMem(res.WritebackAddr)
+		writebackToMem(res.WritebackAddr)
 	}
 }
 
 // writebackToMem absorbs an L2 writeback (DRAM energy is outside the
 // paper's cache-energy accounting).
-func (s *System) writebackToMem(addr uint64) {}
+func writebackToMem(addr uint64) {}
 
 // accessL2 performs a demand L2 access, returning the added stall.
 func (s *System) accessL2(addr uint64, write bool) uint64 {
 	stall := s.cfg.L2.HitCycles
-	res := s.l2.ctrl.Cache.Access(addr, write)
-	s.l2.ctrl.OnAccess(write)
+	res := s.l2.Ctrl.Cache.Access(addr, write)
+	s.l2.Ctrl.OnAccess(write)
 	if !res.Hit {
-		s.l2.ctrl.NoteMiss(blockAlign(addr, s.l2.ctrl.Cache.BlockBytes()))
+		s.l2.Ctrl.NoteMiss(blockAlign(addr, s.l2.Ctrl.Cache.BlockBytes()))
 		stall += s.cfg.MemCycles
 		if res.Fill {
-			s.l2.ctrl.OnFill()
+			s.l2.Ctrl.OnFill()
 		}
 		if res.Writeback {
-			s.writebackToMem(res.WritebackAddr)
+			writebackToMem(res.WritebackAddr)
 		}
 	}
-	if s.l2.dpcs != nil && s.l2.dpcs.Due() {
-		s.cycles += s.l2.dpcs.Tick(s.cycles, s.writebackToMem)
+	if s.l2.Ctrl.Due() {
+		s.cycles += s.l2.Pol.Tick(s.cycles, writebackToMem)
 	}
 	return s.overlap(stall)
+}
+
+// start makes every level's initial transition at cycle 0.
+func (s *System) start() {
+	s.l1i.Pol.Start(s.toL2)
+	s.l1d.Pol.Start(s.toL2)
+	s.l2.Pol.Start(writebackToMem)
+}
+
+// arm starts every level's run-time decisions after warm-up.
+func (s *System) arm() {
+	for _, lv := range s.levels() {
+		lv.Pol.Arm(s.cycles)
+	}
 }
 
 // overlap shrinks a demand stall by the configured MLP overlap factor.
@@ -410,26 +419,26 @@ func (s *System) overlap(stall uint64) uint64 {
 // and returns the stall cycles beyond the pipelined hit. step handles
 // the memoized repeat-block fast path before calling here, so this is
 // the cold half of the split.
-func (s *System) accessL1(lv *level, addr uint64, write bool) uint64 {
-	res := lv.ctrl.Cache.AccessFull(addr, write)
-	lv.ctrl.OnAccess(write)
+func (s *System) accessL1(lv *Level, addr uint64, write bool) uint64 {
+	res := lv.Ctrl.Cache.AccessFull(addr, write)
+	lv.Ctrl.OnAccess(write)
 	var stall uint64
 	if !res.Hit {
-		lv.ctrl.NoteMiss(blockAlign(addr, lv.ctrl.Cache.BlockBytes()))
+		lv.Ctrl.NoteMiss(blockAlign(addr, lv.Ctrl.Cache.BlockBytes()))
 		if res.Fill {
-			lv.ctrl.OnFill()
+			lv.Ctrl.OnFill()
 		}
 		if res.Writeback {
 			s.writebackToL2(res.WritebackAddr)
 		}
 		stall = s.accessL2(addr, write)
 	}
-	// Interval fast-forward: the policy is quiescent between sampling
-	// boundaries (energy and time-at-level integrate lazily in the
-	// controller), so the Tick call — and its interval-stats struct
-	// copy — is skipped until the access counter crosses the boundary.
-	if lv.dpcs != nil && lv.dpcs.Due() {
-		s.cycles += lv.dpcs.Tick(s.cycles, s.writebackToL2)
+	// Interval fast-forward: the policy is quiescent between its
+	// scheduled decisions (energy and time-at-level integrate lazily in
+	// the controller), so the Tick call — and its interval-stats struct
+	// copy — is skipped until the access counter reaches the next one.
+	if lv.Ctrl.Due() {
+		s.cycles += lv.Pol.Tick(s.cycles, s.toL2)
 	}
 	return stall
 }
@@ -441,29 +450,29 @@ func blockAlign(addr uint64, blockBytes int) uint64 {
 
 // step executes one instruction. The memoized repeat-block L1 hit —
 // the dominant outcome for sequential fetch runs and hot data blocks —
-// is fused inline here (FastHit and Due both inline), so the common
+// is fused inline here (FastHit and Controller.Due both inline), so the common
 // case runs without entering accessL1 at all; everything else takes
 // the cold accessL1 path. FastHit-then-AccessFull is observationally
 // identical to Access, so both halves of the split preserve the exact
 // per-access effects of the reference implementation.
 func (s *System) step(ins *trace.Instr) {
 	s.cycles++ // base CPI of 1
-	if s.l1i.ctrl.Cache.FastHit(ins.PC, false) {
-		s.l1i.ctrl.OnAccess(false)
-		if s.l1i.dpcs != nil && s.l1i.dpcs.Due() {
-			s.cycles += s.l1i.dpcs.Tick(s.cycles, s.writebackToL2)
+	if s.l1i.Ctrl.Cache.FastHit(ins.PC, false) {
+		s.l1i.Ctrl.OnAccess(false)
+		if s.l1i.Ctrl.Due() {
+			s.cycles += s.l1i.Pol.Tick(s.cycles, s.toL2)
 		}
 	} else {
-		s.cycles += s.accessL1(s.l1i, ins.PC, false)
+		s.cycles += s.accessL1(&s.l1i, ins.PC, false)
 	}
 	if ins.HasMem {
-		if s.l1d.ctrl.Cache.FastHit(ins.Addr, ins.Write) {
-			s.l1d.ctrl.OnAccess(ins.Write)
-			if s.l1d.dpcs != nil && s.l1d.dpcs.Due() {
-				s.cycles += s.l1d.dpcs.Tick(s.cycles, s.writebackToL2)
+		if s.l1d.Ctrl.Cache.FastHit(ins.Addr, ins.Write) {
+			s.l1d.Ctrl.OnAccess(ins.Write)
+			if s.l1d.Ctrl.Due() {
+				s.cycles += s.l1d.Pol.Tick(s.cycles, s.toL2)
 			}
 		} else {
-			s.cycles += s.accessL1(s.l1d, ins.Addr, ins.Write)
+			s.cycles += s.accessL1(&s.l1d, ins.Addr, ins.Write)
 		}
 	}
 }
@@ -598,8 +607,8 @@ func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, 
 	if tr := tracez.FromContext(ctx); tr != nil && parent != nil {
 		sink = &transitionTracer{inner: opts.Sink, parent: parent, every: uint64(tr.TransitionEveryN())}
 	}
-	if sink != nil {
-		sys.SetSink(sink)
+	for _, lv := range sys.levels() {
+		lv.Ctrl.SetSink(sink)
 	}
 	sys.start()
 
@@ -610,23 +619,23 @@ func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, 
 		return Result{}, err
 	}
 	wsp.End()
-	sys.armPolicies()
+	sys.arm()
 	// Measurement marks.
 	startCycles := sys.cycles
 	startE := [3]core.EnergyReport{
-		sys.l1i.ctrl.Energy(sys.cycles),
-		sys.l1d.ctrl.Energy(sys.cycles),
-		sys.l2.ctrl.Energy(sys.cycles),
+		sys.l1i.Ctrl.Energy(sys.cycles),
+		sys.l1d.Ctrl.Energy(sys.cycles),
+		sys.l2.Ctrl.Energy(sys.cycles),
 	}
 	startStats := [3]cache.Stats{
-		sys.l1i.ctrl.Cache.Stats(),
-		sys.l1d.ctrl.Cache.Stats(),
-		sys.l2.ctrl.Cache.Stats(),
+		sys.l1i.Ctrl.Cache.Stats(),
+		sys.l1d.Ctrl.Cache.Stats(),
+		sys.l2.Ctrl.Cache.Stats(),
 	}
 	startTrans := [3]int{
-		sys.l1i.ctrl.Transitions(),
-		sys.l1d.ctrl.Transitions(),
-		sys.l2.ctrl.Transitions(),
+		sys.l1i.Ctrl.Transitions(),
+		sys.l1d.Ctrl.Transitions(),
+		sys.l2.Ctrl.Transitions(),
 	}
 
 	msp := parent.Child("sim.measure")
@@ -648,8 +657,8 @@ func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, 
 		Seconds:      float64(cycles) / cfg.ClockHz,
 		IPC:          float64(opts.SimInstr) / float64(cycles),
 	}
-	finish := func(lv *level, e0 core.EnergyReport, s0 cache.Stats, t0 int) CacheResult {
-		e1 := lv.ctrl.Energy(sys.cycles)
+	finish := func(lv *Level, e0 core.EnergyReport, s0 cache.Stats, t0 int) CacheResult {
+		e1 := lv.Ctrl.Energy(sys.cycles)
 		de := core.EnergyReport{
 			StaticJ:     e1.StaticJ - e0.StaticJ,
 			DynamicJ:    e1.DynamicJ - e0.DynamicJ,
@@ -657,21 +666,21 @@ func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, 
 			TotalJ:      e1.TotalJ - e0.TotalJ,
 		}
 		cr := CacheResult{
-			Name:              lv.ctrl.Cache.Name(),
-			Stats:             lv.ctrl.Cache.Stats().Sub(s0),
+			Name:              lv.Ctrl.Cache.Name(),
+			Stats:             lv.Ctrl.Cache.Stats().Sub(s0),
 			Energy:            de,
-			Transitions:       lv.ctrl.Transitions() - t0,
-			LevelVolts:        lv.ctrl.Levels.All(),
-			TimeAtLevelCycles: lv.ctrl.TimeAtLevelCycles(),
+			Transitions:       lv.Ctrl.Transitions() - t0,
+			LevelVolts:        lv.Ctrl.Levels.All(),
+			TimeAtLevelCycles: lv.Ctrl.TimeAtLevelCycles(),
 		}
 		if res.Seconds > 0 {
 			cr.AvgPowerW = de.TotalJ / res.Seconds
 		}
 		return cr
 	}
-	res.L1I = finish(sys.l1i, startE[0], startStats[0], startTrans[0])
-	res.L1D = finish(sys.l1d, startE[1], startStats[1], startTrans[1])
-	res.L2 = finish(sys.l2, startE[2], startStats[2], startTrans[2])
+	res.L1I = finish(&sys.l1i, startE[0], startStats[0], startTrans[0])
+	res.L1D = finish(&sys.l1d, startE[1], startStats[1], startTrans[1])
+	res.L2 = finish(&sys.l2, startE[2], startStats[2], startTrans[2])
 	res.TotalCacheEnergyJ = res.L1I.Energy.TotalJ + res.L1D.Energy.TotalJ + res.L2.Energy.TotalJ
 	esp.SetFloat("total_j", res.TotalCacheEnergyJ)
 	esp.End()
@@ -694,36 +703,5 @@ func (r Result) String() string {
 		r.TotalCacheEnergyJ*1e3, r.L1I.Energy.TotalJ*1e3, r.L1D.Energy.TotalJ*1e3, r.L2.Energy.TotalJ*1e3)
 }
 
-// Accessors expose the built controllers and policies so higher-level
-// substrates (internal/multicore) can compose systems from cpusim's
-// per-level construction. Policies are nil outside DPCS mode.
-
-// L1IController returns the instruction-L1 controller.
-func (s *System) L1IController() *core.Controller { return s.l1i.ctrl }
-
-// L1DController returns the data-L1 controller.
-func (s *System) L1DController() *core.Controller { return s.l1d.ctrl }
-
 // L2Controller returns the L2 controller.
-func (s *System) L2Controller() *core.Controller { return s.l2.ctrl }
-
-// L1IPolicy returns the instruction-L1 DPCS policy (nil unless DPCS).
-func (s *System) L1IPolicy() *core.DPCSPolicy { return s.l1i.dpcs }
-
-// L1DPolicy returns the data-L1 DPCS policy (nil unless DPCS).
-func (s *System) L1DPolicy() *core.DPCSPolicy { return s.l1d.dpcs }
-
-// L2Policy returns the L2 DPCS policy (nil unless DPCS).
-func (s *System) L2Policy() *core.DPCSPolicy { return s.l2.dpcs }
-
-// SPCSLevels returns each cache's SPCS voltage level (the VDD2 index),
-// or the top level in Baseline mode.
-func (s *System) SPCSLevels() (l1i, l1d, l2 int) {
-	pick := func(lv *level) int {
-		if s.mode == core.Baseline {
-			return lv.ctrl.Levels.N()
-		}
-		return lv.plan.SPCSLevel
-	}
-	return pick(s.l1i), pick(s.l1d), pick(s.l2)
-}
+func (s *System) L2Controller() *core.Controller { return s.l2.Ctrl }

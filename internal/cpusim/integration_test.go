@@ -2,9 +2,12 @@ package cpusim
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultmodel"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -169,53 +172,98 @@ func TestMLPOverlapShrinksStalls(t *testing.T) {
 	}
 }
 
-// TestAccessorsAndTelemetry covers the composition surface multicore
-// builds on: controller/policy accessors, SPCS levels, and the typed
-// telemetry sink.
-func TestAccessorsAndTelemetry(t *testing.T) {
-	s, err := NewSystem(ConfigA(), core.DPCS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.L1IController() == nil || s.L1DController() == nil || s.L2Controller() == nil {
-		t.Fatal("nil controller accessor")
-	}
-	if s.L1IPolicy() == nil || s.L1DPolicy() == nil || s.L2Policy() == nil {
-		t.Fatal("nil policy accessor in DPCS mode")
-	}
-	i1, d1, l2 := s.SPCSLevels()
-	for _, lv := range []int{i1, d1, l2} {
-		if lv < 1 || lv > 3 {
-			t.Fatalf("SPCS level %d out of range", lv)
-		}
-	}
-	base, err := NewSystem(ConfigA(), core.Baseline, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi, bd, bl := base.SPCSLevels()
-	if bi != 1 || bd != 1 || bl != 1 {
-		t.Fatalf("baseline SPCS levels %d/%d/%d, want top level (1 of 1)", bi, bd, bl)
-	}
+// tickCounter wraps a level's policy to count the Ticks the simulator's
+// Due gate lets through.
+type tickCounter struct {
+	Policy
+	ticks int
+}
 
-	// The sink sees every cache's policy; the L2's interval is 10k L2
-	// accesses, so run long enough for several intervals to elapse.
-	col := &obs.Collector{}
-	_, err = Run(ConfigA(), core.DPCS, smallWorkload(),
-		RunOptions{WarmupInstr: 100_000, SimInstr: 1_500_000, Seed: 1, Sink: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col.Events) == 0 {
-		t.Fatal("telemetry sink received nothing")
-	}
-	decisions := 0
-	for _, ev := range col.Events {
-		if ev.Decision != obs.DecisionTransition {
-			decisions++
+func (p *tickCounter) Tick(now uint64, sink func(addr uint64)) uint64 {
+	p.ticks++
+	return p.Policy.Tick(now, sink)
+}
+
+// TestPolicyContract checks what each mode's policy values promise, on
+// both configurations: after Start a baseline level sits at the top
+// level with no transition, and SPCS and DPCS levels at the SPCS level
+// after one; baseline and SPCS levels are never due over a run, while
+// DPCS levels decide; and a DPCS level's decision and transition events
+// arrive on the one sink set on its controller.
+func TestPolicyContract(t *testing.T) {
+	for _, cfg := range []SystemConfig{ConfigA(), ConfigB()} {
+		for _, mode := range []core.Mode{core.Baseline, core.SPCS, core.DPCS} {
+			sys, err := NewSystem(cfg, mode, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := [3]CacheSpec{cfg.L1I, cfg.L1D, cfg.L2}
+			var counters [3]*tickCounter
+			var sinks [3]*obs.Collector
+			var started [3]int // transitions after Start
+			for k, lv := range sys.levels() {
+				counters[k] = &tickCounter{Policy: lv.Pol}
+				lv.Pol = counters[k]
+				sinks[k] = &obs.Collector{}
+				lv.Ctrl.SetSink(sinks[k])
+			}
+			sys.start()
+			for k, lv := range sys.levels() {
+				name := fmt.Sprintf("%s/%v/%s", cfg.Name, mode, lv.Ctrl.Cache.Name())
+				wantLevel, wantTrans := lv.Ctrl.Levels.N(), 0
+				if mode != core.Baseline {
+					geom := faultmodel.Geometry{Sets: lv.Ctrl.Cache.Sets(), Ways: lv.Ctrl.Cache.Ways(), BlockBits: specs[k].Org.BlockBits()}
+					pcs, err := pcsStaticsFor(specs[k].Org, geom)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantLevel, wantTrans = pcs.plan.SPCSLevel, 1
+				}
+				started[k] = lv.Ctrl.Transitions()
+				if lv.Ctrl.Level() != wantLevel || started[k] != wantTrans {
+					t.Errorf("%s: after Start at level %d with %d transitions, want level %d with %d",
+						name, lv.Ctrl.Level(), lv.Ctrl.Transitions(), wantLevel, wantTrans)
+				}
+				if lv.Timed != (mode == core.DPCS) {
+					t.Errorf("%s: Timed = %v", name, lv.Timed)
+				}
+			}
+
+			mcf, _ := trace.ByName("mcf.s")
+			p := trace.NewPipe(trace.AsBlock(trace.MustNew(mcf, 1)), nil)
+			ctx := context.Background()
+			if err := sys.simulate(ctx, p, 50_000); err != nil {
+				t.Fatal(err)
+			}
+			sys.arm()
+			if err := sys.simulate(ctx, p, 300_000); err != nil {
+				t.Fatal(err)
+			}
+			for k, lv := range sys.levels() {
+				name := fmt.Sprintf("%s/%v/%s", cfg.Name, mode, lv.Ctrl.Cache.Name())
+				decisions, transitions := 0, 0
+				for _, ev := range sinks[k].Events {
+					if ev.CacheName != lv.Ctrl.Cache.Name() {
+						t.Errorf("%s: event for cache %q on this level's sink", name, ev.CacheName)
+					}
+					if ev.Decision == obs.DecisionTransition {
+						transitions++
+					} else {
+						decisions++
+					}
+				}
+				if transitions != lv.Ctrl.Transitions() {
+					t.Errorf("%s: %d transition events, controller made %d", name, transitions, lv.Ctrl.Transitions())
+				}
+				if mode != core.DPCS {
+					if counters[k].ticks != 0 || decisions != 0 || lv.Ctrl.Transitions() != started[k] {
+						t.Errorf("%s: %d ticks, %d decisions, %d transitions; a static policy is never due",
+							name, counters[k].ticks, decisions, lv.Ctrl.Transitions())
+					}
+				} else if counters[k].ticks == 0 || decisions != counters[k].ticks {
+					t.Errorf("%s: %d ticks and %d decision events, want equal and > 0", name, counters[k].ticks, decisions)
+				}
+			}
 		}
-	}
-	if decisions == 0 {
-		t.Error("no interval decision events recorded")
 	}
 }

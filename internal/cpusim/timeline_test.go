@@ -42,8 +42,8 @@ func TestTimelineReconciliation(t *testing.T) {
 		t.Fatal("empty timeline")
 	}
 
-	for _, lv := range []*level{sys.l1i, sys.l1d, sys.l2} {
-		ctrl := lv.ctrl
+	for _, lv := range sys.levels() {
+		ctrl := lv.Ctrl
 		name := ctrl.Cache.Name()
 		// Replay this cache's transitions over the timeline.
 		curLevel := ctrl.Levels.N() // controllers start at the top level
@@ -93,7 +93,7 @@ func TestTimelineReconciliation(t *testing.T) {
 	// must appear alongside the raw transitions.
 	l2Decisions := 0
 	for _, ev := range events {
-		if ev.CacheName == sys.l2.ctrl.Cache.Name() && ev.Decision != obs.DecisionTransition {
+		if ev.CacheName == sys.l2.Ctrl.Cache.Name() && ev.Decision != obs.DecisionTransition {
 			l2Decisions++
 		}
 	}

@@ -94,31 +94,17 @@ func NewCampaignRegistry() *runner.Registry {
 	return reg
 }
 
-// systemConfigByName resolves "A"/"B" (case-insensitive).
-func systemConfigByName(name string) (cpusim.SystemConfig, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "", "A":
-		return cpusim.ConfigA(), nil
-	case "B":
-		return cpusim.ConfigB(), nil
-	default:
-		return cpusim.SystemConfig{}, fmt.Errorf("expers: unknown system config %q (want A or B)", name)
-	}
-}
-
-// modeByName resolves a policy mode name (case-insensitive) through
-// the mechanism package's policy registry, keeping mechanism and policy
-// selection on one plugin surface.
+// modeByName resolves a job's policy mode name through core.ParseMode;
+// an empty name means baseline.
 func modeByName(name string) (core.Mode, error) {
-	lookup := name
-	if strings.TrimSpace(lookup) == "" {
-		lookup = "baseline"
+	if strings.TrimSpace(name) == "" {
+		return core.Baseline, nil
 	}
-	p, ok := mechanism.PolicyByName(lookup)
-	if !ok {
+	m, err := core.ParseMode(name)
+	if err != nil {
 		return 0, fmt.Errorf("expers: unknown mode %q (want baseline, SPCS or DPCS)", name)
 	}
-	return p.Mode(), nil
+	return m, nil
 }
 
 // CPUSimParams parameterise one "cpusim" job.
@@ -149,7 +135,7 @@ func (p *CPUSimParams) ApplyDefaults() {
 // Validate checks the params are runnable (after ApplyDefaults): known
 // config, mode and benchmark, and a non-empty measured window.
 func (p *CPUSimParams) Validate() error {
-	if _, err := systemConfigByName(p.Config); err != nil {
+	if _, err := cpusim.ConfigByName(p.Config); err != nil {
 		return err
 	}
 	if _, err := modeByName(p.Mode); err != nil {
@@ -196,7 +182,7 @@ func runCPUSimJob(ctx context.Context, seed uint64, params json.RawMessage) (any
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, _ := systemConfigByName(p.Config)
+	cfg, _ := cpusim.ConfigByName(p.Config)
 	mode, _ := modeByName(p.Mode)
 	w, _ := trace.ByName(p.Bench)
 	if p.L2Interval > 0 {
@@ -273,7 +259,7 @@ func (p *MulticoreParams) ApplyDefaults() {
 
 // Validate checks the params are runnable (after ApplyDefaults).
 func (p *MulticoreParams) Validate() error {
-	if _, err := systemConfigByName(p.Config); err != nil {
+	if _, err := cpusim.ConfigByName(p.Config); err != nil {
 		return err
 	}
 	if _, err := modeByName(p.Mode); err != nil {
@@ -323,7 +309,7 @@ func runMulticoreJob(ctx context.Context, seed uint64, params json.RawMessage) (
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sysCfg, _ := systemConfigByName(p.Config)
+	sysCfg, _ := cpusim.ConfigByName(p.Config)
 	mode, _ := modeByName(p.Mode)
 	w, _ := trace.ByName(p.Bench)
 	cfg := multicore.Config{

@@ -5,11 +5,10 @@
 // registry. The analytical studies in internal/expers iterate the
 // registry instead of naming schemes, so adding a competitor is one
 // Register call — the comparison tables, min-VDD rows, area rows, CLI
-// selection (-mechanisms) and spec validation all pick it up.
-//
-// The registry also carries the scaling policies (baseline/SPCS/DPCS)
-// behind the Policy interface, so spec-level mode names resolve through
-// the same layer.
+// selection (-mechanisms) and spec validation all pick it up. The
+// runtime scaling policies (baseline/SPCS/DPCS) are not plugins here:
+// they live in internal/core, and their names resolve through
+// core.ParseMode.
 package mechanism
 
 import (

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/expers"
 	"repro/internal/faultmodel"
@@ -269,25 +268,5 @@ func TestL2C2Model(t *testing.T) {
 	}
 	if _, ok := m.(mechanism.Tabler); !ok {
 		t.Fatal("l2c2 does not implement Tabler")
-	}
-}
-
-func TestPolicyRegistry(t *testing.T) {
-	if got := len(mechanism.Policies()); got != 3 {
-		t.Fatalf("Policies() has %d entries, want 3", got)
-	}
-	for name, want := range map[string]core.Mode{
-		"baseline": core.Baseline, "SPCS": core.SPCS, "dpcs": core.DPCS,
-	} {
-		p, ok := mechanism.PolicyByName(name)
-		if !ok {
-			t.Fatalf("PolicyByName(%q) not found", name)
-		}
-		if p.Mode() != want {
-			t.Errorf("PolicyByName(%q).Mode = %v, want %v", name, p.Mode(), want)
-		}
-	}
-	if _, ok := mechanism.PolicyByName("nosuch"); ok {
-		t.Error("PolicyByName(nosuch) resolved")
 	}
 }

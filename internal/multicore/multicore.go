@@ -23,11 +23,13 @@
 // Run/RunContext call — the package has no global mutable state, which
 // is what lets internal/runner fan multicore jobs out across workers.
 //
-// Multicore is excluded from the per-worker arenas of DESIGN.md §13: a
-// System keeps the shared-L2 host and every per-core cpusim.System live
-// at the same time, so a single resettable arena cannot back them. It
-// still benefits from the memoized CACTI/fault-model statics, which are
-// immutable after first compute and safe to share across goroutines.
+// Each core's L1I and L1D and the shared L2 come from cpusim.NewLevel,
+// the level builder the single-core simulator uses. Multicore runs
+// without the per-worker arenas of DESIGN.md §13: a System keeps N L1
+// pairs of one cache configuration live at the same time, and an arena
+// holds one cache per configuration. It does share the memoized
+// CACTI/fault-model statics, which are immutable after first compute
+// and safe to share across goroutines.
 package multicore
 
 import (
@@ -123,17 +125,13 @@ func (d *directory) drop(addr uint64, coreID int) {
 
 // coreState is one core's private hierarchy and clock.
 type coreState struct {
-	id               int
-	gen              trace.Generator
-	pipe             *trace.Pipe // gen's block feed, built by run
-	l1i              *core.Controller
-	l1d              *core.Controller
-	l1iPol           *core.DPCSPolicy
-	l1dPol           *core.DPCSPolicy
-	l1iSPCS, l1dSPCS int
-	invalidated      uint64
-	cycles           uint64
-	instrs           uint64
+	id          int
+	gen         trace.Generator
+	pipe        *trace.Pipe // gen's block feed, built by run
+	l1i, l1d    cpusim.Level
+	invalidated uint64
+	cycles      uint64
+	instrs      uint64
 	// dataBase relocates this core's private data region.
 	dataBase uint64
 }
@@ -171,103 +169,77 @@ type System struct {
 	cfg    Config
 	mode   core.Mode
 	cores  []*coreState
-	l2     *core.Controller
-	l2Pol  *core.DPCSPolicy
+	l2     cpusim.Level
 	dir    *directory
 	global uint64 // monotone global clock for the shared L2
 	cohInv uint64
-	l2SPCS int
+	// toL2 is writebackToL2 bound once, so handing it to a policy's Tick
+	// through the cpusim.Policy interface does not allocate per decision.
+	toL2 func(addr uint64)
 }
 
-// builderFacade reuses cpusim's per-level construction through its
-// exported surface: we build one single-core system per core for the
-// private L1s and one more for the shared L2.
+// newSystem builds the shared L2 and every core's private L1s with
+// cpusim's level builder. Each level draws the fault-map stream it
+// would have in a single-core system: core i's L1I and L1D those of a
+// system seeded seed + i·7919, the shared L2 that of a system seeded
+// seed.
 func newSystem(cfg Config, mode core.Mode, w trace.Workload, seed uint64) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys := &System{cfg: cfg, mode: mode, dir: newDirectory()}
-
-	// Shared L2 from a dedicated single-core build.
-	l2Host, err := cpusim.NewSystem(cfg.System, mode, seed)
+	l2, err := cpusim.NewLevel(nil, cfg.System, mode, seed, cpusim.L2)
 	if err != nil {
 		return nil, err
 	}
-	sys.l2 = l2Host.L2Controller()
-	sys.l2Pol = l2Host.L2Policy()
-	_, _, sys.l2SPCS = l2Host.SPCSLevels()
-
+	sys := &System{cfg: cfg, mode: mode, l2: l2, dir: newDirectory()}
+	sys.toL2 = sys.writebackToL2
 	for i := 0; i < cfg.Cores; i++ {
-		host, err := cpusim.NewSystem(cfg.System, mode, seed+uint64(i)*7919)
-		if err != nil {
+		cs := &coreState{id: i, dataBase: uint64(i+1) << 33} // 8 GiB apart: private regions
+		coreSeed := seed + uint64(i)*7919
+		if cs.l1i, err = cpusim.NewLevel(nil, cfg.System, mode, coreSeed, cpusim.L1I); err != nil {
 			return nil, err
 		}
-		gen, err := trace.New(w, seed+uint64(i)*104729)
-		if err != nil {
+		if cs.l1d, err = cpusim.NewLevel(nil, cfg.System, mode, coreSeed, cpusim.L1D); err != nil {
 			return nil, err
 		}
-		l1iSPCS, l1dSPCS, _ := host.SPCSLevels()
-		cs := &coreState{
-			id:       i,
-			gen:      gen,
-			l1i:      host.L1IController(),
-			l1d:      host.L1DController(),
-			l1iPol:   host.L1IPolicy(),
-			l1dPol:   host.L1DPolicy(),
-			l1iSPCS:  l1iSPCS,
-			l1dSPCS:  l1dSPCS,
-			dataBase: uint64(i+1) << 33, // 8 GiB apart: private regions
+		if cs.gen, err = trace.New(w, seed+uint64(i)*104729); err != nil {
+			return nil, err
 		}
 		sys.cores = append(sys.cores, cs)
 	}
 	return sys, nil
 }
 
-// start applies the initial policy transitions.
+// start makes every level's initial transition at cycle 0.
 func (s *System) start() {
-	switch s.mode {
-	case core.SPCS:
-		for _, c := range s.cores {
-			core.ApplySPCS(c.l1i, c.l1iSPCS, s.writebackToL2)
-			core.ApplySPCS(c.l1d, c.l1dSPCS, s.writebackToL2)
-		}
-		core.ApplySPCS(s.l2, s.l2SPCS, nil)
-	case core.DPCS:
-		for _, c := range s.cores {
-			c.l1iPol.Start(s.writebackToL2)
-			c.l1dPol.Start(s.writebackToL2)
-		}
-		s.l2Pol.Start(nil)
+	for _, c := range s.cores {
+		c.l1i.Pol.Start(s.toL2)
+		c.l1d.Pol.Start(s.toL2)
 	}
+	s.l2.Pol.Start(nil)
 }
 
+// arm starts every level's run-time decisions after warm-up.
 func (s *System) arm() {
 	for _, c := range s.cores {
-		if c.l1iPol != nil {
-			c.l1iPol.Arm(c.cycles)
-		}
-		if c.l1dPol != nil {
-			c.l1dPol.Arm(c.cycles)
-		}
+		c.l1i.Pol.Arm(c.cycles)
+		c.l1d.Pol.Arm(c.cycles)
 	}
-	if s.l2Pol != nil {
-		s.l2Pol.Arm(s.global)
-	}
+	s.l2.Pol.Arm(s.global)
 }
 
 // bump advances the monotone global clock used by the shared L2.
-func (s *System) bump(coreCycles uint64) uint64 {
+func (s *System) bump(coreCycles uint64) {
 	if coreCycles > s.global {
 		s.global = coreCycles
 	}
-	return s.global
 }
 
 func (s *System) writebackToL2(addr uint64) {
-	res := s.l2.Cache.Access(addr, true)
-	s.l2.OnAccess(true)
+	res := s.l2.Ctrl.Cache.Access(addr, true)
+	s.l2.Ctrl.OnAccess(true)
 	if res.Fill && !res.Hit {
-		s.l2.OnFill()
+		s.l2.Ctrl.OnFill()
 	}
 }
 
@@ -275,23 +247,25 @@ func (s *System) writebackToL2(addr uint64) {
 // core, returning the stall.
 func (s *System) accessL2(c *coreState, addr uint64, write bool) uint64 {
 	stall := s.cfg.System.L2.HitCycles
-	res := s.l2.Cache.Access(addr, write)
-	s.l2.OnAccess(write)
+	res := s.l2.Ctrl.Cache.Access(addr, write)
+	s.l2.Ctrl.OnAccess(write)
 	if !res.Hit {
-		s.l2.NoteMiss(addr &^ uint64(s.l2.Cache.BlockBytes()-1))
+		s.l2.Ctrl.NoteMiss(addr &^ uint64(s.l2.Ctrl.Cache.BlockBytes()-1))
 		stall += s.cfg.System.MemCycles
 		if res.Fill {
-			s.l2.OnFill()
+			s.l2.Ctrl.OnFill()
 		}
 	}
-	if s.l2Pol != nil {
-		// The global-clock bump stays unconditional (skipping it would
-		// change the `now` a later due Tick observes); only the Tick —
-		// a no-op between sampling boundaries — is fast-forwarded.
-		now := s.bump(c.cycles)
-		if s.l2Pol.Due() {
-			s.l2Pol.Tick(now, nil)
-		}
+	// A timed L2 policy reads the global clock at its decisions, so
+	// every access advances it (skipping a bump would change the `now` a
+	// later Tick observes). Under a static policy nothing reads it and
+	// it stays at 0, so the L2's static energy integrates over the
+	// slowest core's measured cycles (see drive).
+	if s.l2.Timed {
+		s.bump(c.cycles)
+	}
+	if s.l2.Ctrl.Due() {
+		s.l2.Pol.Tick(s.global, nil)
 	}
 	return stall
 }
@@ -313,7 +287,7 @@ func (s *System) translate(c *coreState, addr uint64) uint64 {
 
 // accessL1D performs a data access with coherence.
 func (s *System) accessL1D(c *coreState, addr uint64, write bool) uint64 {
-	blk := addr &^ uint64(c.l1d.Cache.BlockBytes()-1)
+	blk := addr &^ uint64(c.l1d.Ctrl.Cache.BlockBytes()-1)
 	var stall uint64
 	if write {
 		// Invalidate remote copies (MSI: writer gains exclusivity).
@@ -322,8 +296,8 @@ func (s *System) accessL1D(c *coreState, addr uint64, write bool) uint64 {
 				if mask&(1<<uint(other.id)) == 0 {
 					continue
 				}
-				if set, way, ok := other.l1d.Cache.FindFrame(blk); ok {
-					if need, a := other.l1d.Cache.InvalidateFrame(set, way); need {
+				if set, way, ok := other.l1d.Ctrl.Cache.FindFrame(blk); ok {
+					if need, a := other.l1d.Ctrl.Cache.InvalidateFrame(set, way); need {
 						s.writebackToL2(a)
 					}
 					other.invalidated++
@@ -337,22 +311,22 @@ func (s *System) accessL1D(c *coreState, addr uint64, write bool) uint64 {
 	// probe-loop hit below (including the directory note), with the set
 	// probe skipped. Coherence invalidations drop the memo, so a block
 	// stolen by a remote writer can never fast-hit.
-	if c.l1d.Cache.FastHit(addr, write) {
-		c.l1d.OnAccess(write)
+	if c.l1d.Ctrl.Cache.FastHit(addr, write) {
+		c.l1d.Ctrl.OnAccess(write)
 		s.dir.addSharer(blk, c.id)
-		if c.l1dPol != nil && c.l1dPol.Due() {
-			c.cycles += c.l1dPol.Tick(c.cycles, s.writebackToL2)
+		if c.l1d.Ctrl.Due() {
+			c.cycles += c.l1d.Pol.Tick(c.cycles, s.toL2)
 		}
 		return stall
 	}
-	res := c.l1d.Cache.AccessFull(addr, write)
-	c.l1d.OnAccess(write)
+	res := c.l1d.Ctrl.Cache.AccessFull(addr, write)
+	c.l1d.Ctrl.OnAccess(write)
 	if res.Hit {
 		s.dir.addSharer(blk, c.id)
 	} else {
-		c.l1d.NoteMiss(blk)
+		c.l1d.Ctrl.NoteMiss(blk)
 		if res.Fill {
-			c.l1d.OnFill()
+			c.l1d.Ctrl.OnFill()
 			s.dir.addSharer(blk, c.id)
 		}
 		if res.Writeback {
@@ -361,8 +335,8 @@ func (s *System) accessL1D(c *coreState, addr uint64, write bool) uint64 {
 		}
 		stall += s.accessL2(c, addr, write)
 	}
-	if c.l1dPol != nil && c.l1dPol.Due() {
-		c.cycles += c.l1dPol.Tick(c.cycles, s.writebackToL2)
+	if c.l1d.Ctrl.Due() {
+		c.cycles += c.l1d.Pol.Tick(c.cycles, s.toL2)
 	}
 	return stall
 }
@@ -371,28 +345,28 @@ func (s *System) accessL1D(c *coreState, addr uint64, write bool) uint64 {
 // read-only). Sequential fetch runs make the memoized repeat-block hit
 // the dominant outcome.
 func (s *System) accessL1I(c *coreState, addr uint64) uint64 {
-	if c.l1i.Cache.FastHit(addr, false) {
-		c.l1i.OnAccess(false)
-		if c.l1iPol != nil && c.l1iPol.Due() {
-			c.cycles += c.l1iPol.Tick(c.cycles, s.writebackToL2)
+	if c.l1i.Ctrl.Cache.FastHit(addr, false) {
+		c.l1i.Ctrl.OnAccess(false)
+		if c.l1i.Ctrl.Due() {
+			c.cycles += c.l1i.Pol.Tick(c.cycles, s.toL2)
 		}
 		return 0
 	}
-	res := c.l1i.Cache.AccessFull(addr, false)
-	c.l1i.OnAccess(false)
+	res := c.l1i.Ctrl.Cache.AccessFull(addr, false)
+	c.l1i.Ctrl.OnAccess(false)
 	var stall uint64
 	if !res.Hit {
-		c.l1i.NoteMiss(addr &^ uint64(c.l1i.Cache.BlockBytes()-1))
+		c.l1i.Ctrl.NoteMiss(addr &^ uint64(c.l1i.Ctrl.Cache.BlockBytes()-1))
 		if res.Fill {
-			c.l1i.OnFill()
+			c.l1i.Ctrl.OnFill()
 		}
 		if res.Writeback {
 			s.writebackToL2(res.WritebackAddr)
 		}
 		stall = s.accessL2(c, addr, false)
 	}
-	if c.l1iPol != nil && c.l1iPol.Due() {
-		c.cycles += c.l1iPol.Tick(c.cycles, s.writebackToL2)
+	if c.l1i.Ctrl.Due() {
+		c.cycles += c.l1i.Pol.Tick(c.cycles, s.toL2)
 	}
 	return stall
 }
@@ -493,13 +467,13 @@ func (sys *System) drive(ctx context.Context, warmupPerCore, instrPerCore uint64
 	startCoreInv := make([]uint64, len(sys.cores))
 	for i, c := range sys.cores {
 		startCycles[i] = c.cycles
-		startL1[i] = [2]cache.Stats{c.l1i.Cache.Stats(), c.l1d.Cache.Stats()}
-		startE[i] = c.l1i.Energy(c.cycles).TotalJ + c.l1d.Energy(c.cycles).TotalJ
+		startL1[i] = [2]cache.Stats{c.l1i.Ctrl.Cache.Stats(), c.l1d.Ctrl.Cache.Stats()}
+		startE[i] = c.l1i.Ctrl.Energy(c.cycles).TotalJ + c.l1d.Ctrl.Energy(c.cycles).TotalJ
 		startCoreInv[i] = c.invalidated
 	}
-	l2Start := sys.l2.Cache.Stats()
-	l2StartE := sys.l2.Energy(sys.global).TotalJ
-	l2StartTrans := sys.l2.Transitions()
+	l2Start := sys.l2.Ctrl.Cache.Stats()
+	l2StartE := sys.l2.Ctrl.Energy(sys.global).TotalJ
+	l2StartTrans := sys.l2.Ctrl.Transitions()
 	startInv := sys.cohInv
 	globalStart := sys.global
 
@@ -519,21 +493,20 @@ func (sys *System) drive(ctx context.Context, warmupPerCore, instrPerCore uint64
 		if cyc > maxCycles {
 			maxCycles = cyc
 		}
-		e := c.l1i.Energy(c.cycles).TotalJ + c.l1d.Energy(c.cycles).TotalJ - startE[i]
+		e := c.l1i.Ctrl.Energy(c.cycles).TotalJ + c.l1d.Ctrl.Energy(c.cycles).TotalJ - startE[i]
 		cr := CoreResult{
 			CoreID:       i,
 			Instructions: instrPerCore,
 			Cycles:       cyc,
 			IPC:          float64(instrPerCore) / float64(cyc),
-			L1I:          c.l1i.Cache.Stats().Sub(startL1[i][0]),
-			L1D:          c.l1d.Cache.Stats().Sub(startL1[i][1]),
+			L1I:          c.l1i.Ctrl.Cache.Stats().Sub(startL1[i][0]),
+			L1D:          c.l1d.Ctrl.Cache.Stats().Sub(startL1[i][1]),
 			L1EnergyJ:    e,
 			Invalidated:  c.invalidated - startCoreInv[i],
 		}
 		res.Cores = append(res.Cores, cr)
 		res.TotalCacheEnergyJ += e
 	}
-	sys.bump(0) // ensure global >= all marks
 	res.GlobalCycles = maxCycles
 	res.Seconds = float64(maxCycles) / cfg.System.ClockHz
 	// Integrate the shared L2 to the end of global time.
@@ -541,9 +514,9 @@ func (sys *System) drive(ctx context.Context, warmupPerCore, instrPerCore uint64
 	if endGlobal < sys.global {
 		endGlobal = sys.global
 	}
-	res.L2EnergyJ = sys.l2.Energy(endGlobal).TotalJ - l2StartE
-	res.L2 = sys.l2.Cache.Stats().Sub(l2Start)
-	res.L2Transitions = sys.l2.Transitions() - l2StartTrans
+	res.L2EnergyJ = sys.l2.Ctrl.Energy(endGlobal).TotalJ - l2StartE
+	res.L2 = sys.l2.Ctrl.Cache.Stats().Sub(l2Start)
+	res.L2Transitions = sys.l2.Ctrl.Transitions() - l2StartTrans
 	res.TotalCacheEnergyJ += res.L2EnergyJ
 	res.CoherenceInvalidations = sys.cohInv - startInv
 	esp.SetFloat("total_j", res.TotalCacheEnergyJ)

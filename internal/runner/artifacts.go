@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -384,16 +385,18 @@ func (a *artifactStore) writeLedger(results []JobResult, res *CampaignResult, li
 	return err
 }
 
+// writeJSON encodes v (two-space indent, trailing newline) and only
+// then writes it to path in one call, so a value that fails to encode
+// leaves no file behind.
 func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("runner: %s: %w", filepath.Base(path), err)
-	}
-	enc := json.NewEncoder(f)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		f.Close()
 		return fmt.Errorf("runner: encode %s: %w", filepath.Base(path), err)
 	}
-	return f.Close()
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+		return fmt.Errorf("runner: %s: %w", filepath.Base(path), err)
+	}
+	return nil
 }

@@ -50,6 +50,21 @@ func TestNewRunDirSuffixing(t *testing.T) {
 	}
 }
 
+// TestFailedSetupWritesNoManifest checks a campaign whose manifest
+// cannot be encoded (a job's params are blank, not JSON) fails Run and
+// leaves no manifest.json behind, rather than an empty one.
+func TestFailedSetupWritesNoManifest(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	c := Campaign{Name: "blank", Seed: 1, Jobs: []Spec{{Kind: "drawsum", Name: "j", Params: json.RawMessage("  ")}}}
+	_, err := Run(context.Background(), testRegistry(t), c, Options{Workers: 1, ArtifactDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "encode manifest.json") {
+		t.Fatalf("Run error = %v, want the manifest encoding failure", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("manifest.json after a failed set-up: stat error %v, want not-exist", err)
+	}
+}
+
 // TestManifestRoundTrip checks manifest.json records the campaign
 // verbatim: the specs array decodes back to the jobs that ran, and the
 // ledger's manifest entry agrees with the sidecar.

@@ -24,6 +24,21 @@ go test -count=1 -run 'TestPolicyTickZeroAllocs' ./internal/core
 go test -count=1 -run 'TestBlockLoopZeroAllocs' ./internal/cpusim
 go test -count=1 -run 'TestHotPathMetricsAllocFree' ./internal/obs
 
+# Tick-gate inlining gate (DESIGN.md §12.2): the per-access policy gate,
+# core.(*Controller).Due, must be inlined at every hot-path site — step
+# x2, accessL1 and accessL2 in cpusim; accessL1I x2, accessL1D x2 and
+# accessL2 in multicore — so a policy's Tick is only an interface call
+# at a scheduled decision.
+check_due_inlined() {
+	n=$(go build -gcflags=-m "./internal/$1" 2>&1 | grep -c 'inlining call to core.(\*Controller).Due' || true)
+	if [ "$n" -ne "$2" ]; then
+		echo "internal/$1: Controller.Due inlined at $n sites, want $2" >&2
+		exit 1
+	fi
+}
+check_due_inlined cpusim 4
+check_due_inlined multicore 5
+
 # Tracing gates: the span API must cost nothing when tracing is off
 # (nil-tracer fast path), and a traced campaign must leave results.jsonl
 # byte-identical to an untraced one (DESIGN.md §11).
