@@ -19,7 +19,7 @@ func scalarWindow(sys *System, gen trace.Generator) func(n uint64) error {
 	return func(n uint64) error {
 		for i := uint64(0); i < n; i++ {
 			gen.Next(&ins)
-			sys.step(&ins)
+			sys.Step(&ins)
 		}
 		return nil
 	}
@@ -30,7 +30,7 @@ func scalarWindow(sys *System, gen trace.Generator) func(n uint64) error {
 // reference loop.
 func runWith(t *testing.T, cfg SystemConfig, mode core.Mode, w trace.Workload, opts RunOptions, scalar bool) Result {
 	t.Helper()
-	sys, err := NewSystem(cfg, mode, opts.Seed)
+	sys, err := NewSystemArena(nil, cfg, mode, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBlockLoopZeroAllocs(t *testing.T) {
 			MemFrac:         0.4,
 		}},
 	}
-	sys, err := NewSystem(ConfigA(), core.DPCS, 1)
+	sys, err := NewSystemArena(nil, ConfigA(), core.DPCS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,11 +88,11 @@ func TestEnergyConservation(t *testing.T) {
 // identical fault geography: their caches gate the same block count at
 // the same level.
 func TestModesShareFaultMaps(t *testing.T) {
-	s1, err := NewSystem(ConfigA(), core.SPCS, 7)
+	s1, err := NewSystemArena(nil, ConfigA(), core.SPCS, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSystem(ConfigA(), core.DPCS, 7)
+	s2, err := NewSystemArena(nil, ConfigA(), core.DPCS, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func (p *tickCounter) Tick(now uint64, sink func(addr uint64)) uint64 {
 func TestPolicyContract(t *testing.T) {
 	for _, cfg := range []SystemConfig{ConfigA(), ConfigB()} {
 		for _, mode := range []core.Mode{core.Baseline, core.SPCS, core.DPCS} {
-			sys, err := NewSystem(cfg, mode, 1)
+			sys, err := NewSystemArena(nil, cfg, mode, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

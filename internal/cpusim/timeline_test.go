@@ -21,7 +21,7 @@ func TestTimelineReconciliation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(ConfigA(), core.DPCS, 1)
+	sys, err := NewSystemArena(nil, ConfigA(), core.DPCS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTimelineReconciliation(t *testing.T) {
 			transitions++
 			writebacks += ev.Writebacks
 		}
-		timeAt[curLevel-1] += sys.cycles - lastCycle
+		timeAt[curLevel-1] += sys.Cycles - lastCycle
 
 		if transitions != ctrl.Transitions() {
 			t.Errorf("%s: %d timeline transitions, controller says %d",

@@ -39,7 +39,7 @@ func TestAblationRuns(t *testing.T) {
 }
 
 func TestAblationUnknownWorkload(t *testing.T) {
-	if _, _, err := Ablation([]string{"nope"}, cpusim.DefaultRunOptions()); err == nil {
+	if _, _, err := Ablation([]string{"nope"}, cpusim.RunOptions{WarmupInstr: 1_000_000, SimInstr: 2_000_000, Seed: 1}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
