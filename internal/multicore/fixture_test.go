@@ -21,7 +21,7 @@ func TestResultFixtures(t *testing.T) {
 	}{
 		{core.Baseline, "c44c84108c90e424eb9cc322bd9f0a502f86fdd8fec7eea3ecf1467528b2e79b"},
 		{core.SPCS, "f7f3d449416bf2c3d35d01b1fdb2aea23fe6f9404d13a12614c80166686ed875"},
-		{core.DPCS, "6dbdf2bbc960bba4d27ffe42f1caf1f7f5baee4e4fa13bd7c1568a4172e8c826"},
+		{core.DPCS, "ed2a5298bf9a7ec0e258c6214c6c18e3358edd1f2a56986334c5d602608714f5"},
 	} {
 		r, err := Run(smallConfig(4), fx.mode, testWorkload(), 20_000, 100_000, 1)
 		if err != nil {
