@@ -463,28 +463,6 @@ func (c *Cache) ValidCount() int {
 	return n
 }
 
-// FaultyMask returns the faulty-way bitmask of one set (bit w set ⇔
-// frame (set,w) faulty). Voltage-transition code uses it to find
-// changed blocks without probing every frame.
-func (c *Cache) FaultyMask(set int) uint64 {
-	if set < 0 || set >= c.sets {
-		panic(fmt.Sprintf("cache: %s: set %d out of %d", c.name, set, c.sets))
-	}
-	return c.faulty[set]
-}
-
-// FlushAll writes back and invalidates every valid frame, invoking sink
-// for each dirty block. Used at end-of-simulation accounting.
-func (c *Cache) FlushAll(sink func(addr uint64)) {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			if need, addr := c.InvalidateFrame(s, w); need && sink != nil {
-				sink(addr)
-			}
-		}
-	}
-}
-
 // CheckInvariants validates internal consistency: faulty frames must be
 // invalid, and no set may hold two valid frames with the same tag.
 // It returns the first violation found, or nil.

@@ -225,21 +225,6 @@ func TestAddressReconstruction(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
-	c := smallCache(t)
-	c.Access(0x000, true)
-	c.Access(0x400, true)
-	c.Access(0x800, false)
-	var flushed []uint64
-	c.FlushAll(func(a uint64) { flushed = append(flushed, a) })
-	if len(flushed) != 2 {
-		t.Fatalf("flushed %d dirty blocks, want 2", len(flushed))
-	}
-	if c.ValidCount() != 0 {
-		t.Error("valid frames after flush")
-	}
-}
-
 func TestStatsSub(t *testing.T) {
 	a := Stats{Accesses: 10, Hits: 6, Misses: 4, Writebacks: 2}
 	b := Stats{Accesses: 4, Hits: 2, Misses: 2, Writebacks: 1}

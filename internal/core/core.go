@@ -133,7 +133,6 @@ type Controller struct {
 
 	// Transition bookkeeping.
 	transitions       int
-	transitionCycles  uint64
 	transitionWBs     uint64
 	timeAtLevelCycles []uint64 // indexed by level-1
 
@@ -347,7 +346,6 @@ func (ct *Controller) Transition(next int, now uint64, sink func(addr uint64)) T
 	ct.level = next
 	ct.refreshAccessEnergy()
 	ct.transitions++
-	ct.transitionCycles += res.PenaltyCycles
 	ct.transitionWBs += uint64(res.Writebacks)
 	if ct.obsSink != nil {
 		ct.obsSink.Record(obs.PolicyEvent{
@@ -405,9 +403,6 @@ func (ct *Controller) RefillMisses() uint64 { return ct.refillMisses }
 
 // Transitions returns how many voltage transitions have occurred.
 func (ct *Controller) Transitions() int { return ct.transitions }
-
-// TransitionCycles returns the total stall cycles spent in transitions.
-func (ct *Controller) TransitionCycles() uint64 { return ct.transitionCycles }
 
 // TransitionWritebacks returns dirty blocks written back by transitions.
 func (ct *Controller) TransitionWritebacks() uint64 { return ct.transitionWBs }

@@ -364,9 +364,6 @@ func TestTransitionBookkeepingAccessors(t *testing.T) {
 	if r.ctrl.Transitions() != 1 {
 		t.Errorf("transitions %d", r.ctrl.Transitions())
 	}
-	if r.ctrl.TransitionCycles() != res.PenaltyCycles {
-		t.Errorf("transition cycles %d != %d", r.ctrl.TransitionCycles(), res.PenaltyCycles)
-	}
 	if r.ctrl.TransitionWritebacks() != uint64(res.Writebacks) {
 		t.Errorf("transition writebacks %d != %d",
 			r.ctrl.TransitionWritebacks(), res.Writebacks)

@@ -43,34 +43,6 @@ type Setup struct {
 	NLowVDDs int
 }
 
-// NewSetup builds the model stack for an organisation with nLowVDDs low
-// voltage levels, mirroring expers.NewCacheSetup (which memoizes; this
-// constructor is for direct/test use).
-func NewSetup(org cacti.Org, nLowVDDs int) (Setup, error) {
-	tech := device.Tech45SOI()
-	cm, err := cacti.New(org, tech, cacti.DefaultParams())
-	if err != nil {
-		return Setup{}, err
-	}
-	ber := sram.NewWangCalhounBER()
-	fm, err := faultmodel.New(faultmodel.Geometry{
-		Sets: org.Sets(), Ways: org.Assoc, BlockBits: org.BlockBits(),
-	}, ber)
-	if err != nil {
-		return Setup{}, err
-	}
-	fmBits := 0
-	for 1<<fmBits < nLowVDDs+2 {
-		fmBits++
-	}
-	return Setup{
-		Org: org, Tech: tech,
-		CM: cm, CMPCS: cm.WithPCS(fmBits),
-		BER: ber, FM: fm,
-		NLowVDDs: nLowVDDs,
-	}, nil
-}
-
 // Digest is the canonical value identity of a setup: two setups built
 // from equal organisations and level counts digest identically however
 // they were constructed. Memo layers key on this instead of pointer
