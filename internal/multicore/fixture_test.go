@@ -19,9 +19,9 @@ func TestResultFixtures(t *testing.T) {
 		mode   core.Mode
 		sha256 string
 	}{
-		{core.Baseline, "c44c84108c90e424eb9cc322bd9f0a502f86fdd8fec7eea3ecf1467528b2e79b"},
-		{core.SPCS, "f7f3d449416bf2c3d35d01b1fdb2aea23fe6f9404d13a12614c80166686ed875"},
-		{core.DPCS, "ed2a5298bf9a7ec0e258c6214c6c18e3358edd1f2a56986334c5d602608714f5"},
+		{core.Baseline, "842f7bb89d7b8fdbee471082ce6edca34f0fde58c657f4253cd287e9ce8762f3"},
+		{core.SPCS, "88901b711cf921775c7ec4c76b9eeb3d2b2961592c4c9e420c25c65cac2016a8"},
+		{core.DPCS, "2822fb7a3d7a0388f6f8ec4804c77db8354027b8adc93f6f7c523bee51c45852"},
 	} {
 		r, err := Run(smallConfig(4), fx.mode, testWorkload(), 20_000, 100_000, 1)
 		if err != nil {

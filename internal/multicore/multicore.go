@@ -226,10 +226,16 @@ func (s *System) start() {
 	s.l2.Pol.Start(nil)
 }
 
-// arm starts every level's run-time decisions after warm-up.
+// arm starts every level's run-time decisions after warm-up. The
+// shared L2 is armed, and its measured energy window opens, at the
+// latest core clock: the global clock only records the last timed L2
+// access, which lags the cores at the warm-up boundary.
 func (s *System) arm() {
 	for _, c := range s.cores {
 		c.Arm()
+		if c.Cycles > s.global {
+			s.global = c.Cycles
+		}
 	}
 	s.l2.Pol.Arm(s.global)
 }

@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -11,10 +12,10 @@ import (
 // TestOneCoreMatchesCpusim pins that multicore runs cpusim's demand
 // path: one core with no shared region must behave exactly like
 // cpusim.Run on the same configuration, workload and seed, down to a
-// shared-L2 voltage transition's stall. Only integers are compared: a
-// DPCS L2's energy differs slightly (1e-7 to 2e-5 relative here),
-// because multicore integrates the shared L2 from the global clock at
-// the warm-up boundary, which lags the core's clock.
+// shared-L2 voltage transition's stall, and the L2's energy over the
+// measured window. The total cache energy is compared to 1e-12
+// relative only: the two simulators add the L1 and L2 energies in
+// different orders.
 func TestOneCoreMatchesCpusim(t *testing.T) {
 	opts := cpusim.RunOptions{WarmupInstr: 50_000, SimInstr: 300_000, Seed: 1}
 	for _, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
@@ -42,10 +43,15 @@ func TestOneCoreMatchesCpusim(t *testing.T) {
 					{"L1D stats", c.L1D, want.L1D.Stats},
 					{"L2 stats", got.L2, want.L2.Stats},
 					{"L2 transitions", got.L2Transitions, want.L2.Transitions},
+					{"L2 energy", got.L2EnergyJ, want.L2.Energy.TotalJ},
 				} {
 					if d.got != d.want {
 						t.Errorf("%s/%s/%v: %s %+v, cpusim %+v", cfg.Name, bench, mode, d.what, d.got, d.want)
 					}
+				}
+				if rel := math.Abs(got.TotalCacheEnergyJ-want.TotalCacheEnergyJ) / want.TotalCacheEnergyJ; rel > 1e-12 {
+					t.Errorf("%s/%s/%v: total cache energy %g J, cpusim %g J (%.3g relative)",
+						cfg.Name, bench, mode, got.TotalCacheEnergyJ, want.TotalCacheEnergyJ, rel)
 				}
 			}
 		}
