@@ -51,9 +51,9 @@ func main() {
 		bistCommand(),
 		traceCommand(os.Stdout),
 		figuresCommand(),
-		reportCommand(),
+		reportCommand(os.Stdout),
 		serveCommand(),
-		topCommand(),
+		topCommand(os.Stdout),
 		verifyCommand(os.Stdout),
 		cacheCommand(),
 	)

@@ -38,7 +38,6 @@ func multicoreCommand() *cli.Command {
 		jsonOut   bool
 		runsRoot  string
 		progress  bool
-		traceOn   bool
 		cacheDir  string
 	)
 	return &cli.Command{
@@ -58,7 +57,6 @@ func multicoreCommand() *cli.Command {
 			fs.BoolVar(&jsonOut, "json", false, "emit the table as JSON instead of text")
 			fs.StringVar(&runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&progress, "progress", false, "log campaign progress to stderr")
-			fs.BoolVar(&traceOn, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
 			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 		},
 		Run: func(fs *flag.FlagSet) error {
@@ -125,9 +123,6 @@ func multicoreCommand() *cli.Command {
 			if err != nil {
 				return err
 			}
-			if traceOn && runsRoot == "" {
-				return fmt.Errorf("-trace needs -runs (spans.jsonl lives next to the campaign records)")
-			}
 			opts := runner.Options{Workers: workers, Cache: cache, CodeVersion: version.String()}
 			if runsRoot != "" {
 				dir, err := runner.NewRunDir(filepath.Join(runsRoot, "multicore"))
@@ -135,7 +130,6 @@ func multicoreCommand() *cli.Command {
 					return err
 				}
 				opts.ArtifactDir = dir
-				opts.TraceSpans = traceOn
 			}
 			if progress {
 				opts.OnProgress = func(p runner.Progress) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -28,11 +29,12 @@ import (
 // full default takes tens of minutes. -timeline skips the full
 // reproduction and instead renders a policy timeline (a JSONL file
 // written by pcs sim -timeline or pcs sweep -timeline) as VDD-vs-time
-// tables. -perfetto RUNDIR converts a traced run's spans.jsonl to a
-// Chrome trace-event file loadable in Perfetto / chrome://tracing, and
-// -top RUNDIR renders the run's per-cell resource attribution (see
-// DESIGN.md §11); both read a runs/<ts>/ directory and exit.
-func reportCommand() *cli.Command {
+// tables. -perfetto RUNDIR converts a run's spans.jsonl to a Chrome
+// trace-event file loadable in Perfetto / chrome://tracing, and -top
+// RUNDIR renders the run's per-cell resource attribution from its job
+// spans (see DESIGN.md §11); both read a runs/<ts>/ directory and
+// exit. Tables and messages go to stdout, progress to stderr.
+func reportCommand(stdout io.Writer) *cli.Command {
 	var (
 		out      string
 		instr    uint64
@@ -64,7 +66,7 @@ func reportCommand() *cli.Command {
 				instr = 2_000_000
 			}
 			if timeline != "" {
-				return renderSavedTimeline(timeline, clockGHz*1e9)
+				return renderSavedTimeline(stdout, timeline, clockGHz*1e9)
 			}
 			if perfetto || top {
 				if fs.NArg() != 1 {
@@ -76,24 +78,24 @@ func reportCommand() *cli.Command {
 					if flagsSet(fs)["o"] {
 						dst = out
 					}
-					return exportPerfetto(dir, dst)
+					return exportPerfetto(stdout, dir, dst)
 				}
-				return renderTopCells(dir, sortKey, topN)
+				return renderTopCells(stdout, dir, sortKey, topN)
 			}
-			return writeReport(out, instr)
+			return writeReport(stdout, out, instr)
 		},
 	}
 }
 
-// exportPerfetto converts a traced run directory's spans.jsonl into a
-// Chrome trace-event JSON file for Perfetto / chrome://tracing.
-func exportPerfetto(dir, dst string) error {
+// exportPerfetto converts a run directory's spans.jsonl into a Chrome
+// trace-event JSON file for Perfetto / chrome://tracing.
+func exportPerfetto(stdout io.Writer, dir, dst string) error {
 	spans, err := tracez.ReadFile(filepath.Join(dir, tracez.FileName))
 	if err != nil {
 		return err
 	}
 	if len(spans) == 0 {
-		return fmt.Errorf("%s: no spans recorded (was the campaign run with tracing on?)", dir)
+		return fmt.Errorf("%s: %s records no spans", dir, tracez.FileName)
 	}
 	f, err := os.Create(dst)
 	if err != nil {
@@ -106,21 +108,25 @@ func exportPerfetto(dir, dst string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d spans to %s (load in https://ui.perfetto.dev or chrome://tracing)\n", len(spans), dst)
+	fmt.Fprintf(stdout, "wrote %d spans to %s (load in https://ui.perfetto.dev or chrome://tracing)\n", len(spans), dst)
 	return nil
 }
 
 // renderTopCells renders a run directory's per-cell resource
-// attribution: the top-N cells table plus per-kind totals, joined with
-// per-cell energy from results.jsonl where available.
-func renderTopCells(dir, sortKey string, n int) error {
-	events, err := obs.ReadJobTimeline(filepath.Join(dir, "timeline.jsonl"))
+// attribution from its job spans: the top-N cells table plus per-kind
+// totals, joined with per-cell energy from results.jsonl where
+// available.
+func renderTopCells(stdout io.Writer, dir, sortKey string, n int) error {
+	spans, err := tracez.ReadFile(filepath.Join(dir, tracez.FileName))
 	if err != nil {
 		return err
 	}
-	cells := report.CellsFromEvents(events)
+	cells, err := report.CellsFromSpans(spans)
+	if err != nil {
+		return err
+	}
 	if len(cells) == 0 {
-		return fmt.Errorf("%s: timeline has no terminal job events", dir)
+		return fmt.Errorf("%s: %s has no job spans", dir, tracez.FileName)
 	}
 	if err := report.AttachEnergyFile(cells, filepath.Join(dir, "results.jsonl")); err != nil {
 		return err
@@ -128,13 +134,13 @@ func renderTopCells(dir, sortKey string, n int) error {
 	if err := report.SortCells(cells, sortKey); err != nil {
 		return err
 	}
-	if err := report.TopCellsTable(cells, n).Render(os.Stdout); err != nil {
+	if err := report.TopCellsTable(cells, n).Render(stdout); err != nil {
 		return err
 	}
-	return report.KindSummaryTable(cells).Render(os.Stdout)
+	return report.KindSummaryTable(cells).Render(stdout)
 }
 
-func writeReport(out string, instr uint64) (err error) {
+func writeReport(stdout io.Writer, out string, instr uint64) (err error) {
 	f, err := os.Create(out)
 	if err != nil {
 		return err
@@ -283,13 +289,13 @@ func writeReport(out string, instr uint64) (err error) {
 	}
 
 	fmt.Fprintf(f, "---\nTotal generation time: %s\n", time.Since(start).Round(time.Second))
-	fmt.Println("wrote", out)
+	fmt.Fprintln(stdout, "wrote", out)
 	return nil
 }
 
 // renderSavedTimeline re-renders a saved policy timeline as VDD-vs-time
 // tables on stdout.
-func renderSavedTimeline(path string, clockHz float64) error {
+func renderSavedTimeline(stdout io.Writer, path string, clockHz float64) error {
 	events, err := obs.ReadPolicyTimeline(path)
 	if err != nil {
 		return err
@@ -306,7 +312,7 @@ func renderSavedTimeline(path string, clockHz float64) error {
 		expers.VDDTrajectoryTable(events, clockHz, 40),
 		expers.VDDResidencyTable(events, end),
 	} {
-		if err := t.Render(os.Stdout); err != nil {
+		if err := t.Render(stdout); err != nil {
 			return err
 		}
 	}

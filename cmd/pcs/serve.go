@@ -29,8 +29,9 @@ import (
 //	GET    /campaigns               list campaigns
 //	GET    /campaigns/{id}          status, progress, ETA
 //	GET    /campaigns/{id}/results  stream result records as JSON lines
-//	GET    /campaigns/{id}/events   stream job lifecycle events (NDJSON)
-//	GET    /campaigns/{id}/spans    stream trace spans (NDJSON; -trace)
+//	GET    /campaigns/{id}/spans    stream the campaign's spans (NDJSON):
+//	                                the lines of runs/<id>/spans.jsonl,
+//	                                one job span per finished job
 //	DELETE /campaigns/{id}          cancel a campaign
 //	GET    /metrics                 Prometheus exposition
 //	GET    /healthz                 liveness probe
@@ -53,7 +54,6 @@ func serveCommand() *cli.Command {
 		withPprof bool
 		logJSON   bool
 		cacheDir  string
-		traceOn   bool
 	)
 	return &cli.Command{
 		Name:    "serve",
@@ -67,7 +67,6 @@ func serveCommand() *cli.Command {
 			fs.BoolVar(&withPprof, "pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 			fs.BoolVar(&logJSON, "log-json", false, "emit JSON log lines instead of key=value text")
 			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory shared by all campaigns (adds resultstore_* metrics)")
-			fs.BoolVar(&traceOn, "trace", true, "record campaign spans (runs/<id>/spans.jsonl and GET /campaigns/{id}/spans)")
 		},
 		Run: func(fs *flag.FlagSet) error {
 			var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
@@ -86,7 +85,6 @@ func serveCommand() *cli.Command {
 				Logger:         logger,
 				Cache:          cache,
 				CodeVersion:    version.String(),
-				TraceSpans:     traceOn,
 			})
 
 			mux := http.NewServeMux()

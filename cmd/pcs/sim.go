@@ -39,7 +39,6 @@ func simCommand() *cli.Command {
 		timeline string
 		workers  int
 		runsRoot string
-		traceOn  bool
 		cacheDir string
 		prof     profiler
 	)
@@ -60,7 +59,6 @@ func simCommand() *cli.Command {
 			fs.StringVar(&timeline, "timeline", "", "with -bench: write the DPCS policy timeline to this JSONL file")
 			fs.IntVar(&workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations for the full grid (results are identical at any worker count)")
 			fs.StringVar(&runsRoot, "runs", "", "archive grid campaign records under this directory (e.g. runs)")
-			fs.BoolVar(&traceOn, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
 			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 			prof.register(fs)
 		},
@@ -121,9 +119,6 @@ func simCommand() *cli.Command {
 			if timeline != "" && bench == "" {
 				return fmt.Errorf("-timeline needs -bench (it records one DPCS run)")
 			}
-			if traceOn && runsRoot == "" {
-				return fmt.Errorf("-trace needs -runs (spans.jsonl lives next to the campaign records)")
-			}
 			if runsRoot != "" && bench != "" {
 				return fmt.Errorf("-runs records the full grid; it cannot combine with -bench")
 			}
@@ -156,7 +151,6 @@ func simCommand() *cli.Command {
 						return err
 					}
 					gopts.ArtifactDir = dir
-					gopts.TraceSpans = traceOn
 					fmt.Fprintf(os.Stderr, "pcs sim: config %s: recording campaign in %s\n", cfg.Name, dir)
 				}
 				data, stats, err := expers.Fig4Grid(context.Background(), cfg, opts, gopts)

@@ -35,7 +35,6 @@ func sweepCommand() *cli.Command {
 		runsRoot string
 		progress bool
 		timeline bool
-		traceOn  bool
 		cacheDir string
 		mechsCSV string
 		prof     profiler
@@ -68,7 +67,6 @@ func sweepCommand() *cli.Command {
 			fs.StringVar(&runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&progress, "progress", false, "log campaign progress to stderr")
 			fs.BoolVar(&timeline, "timeline", false, "with -runs: record per-job DPCS policy timelines (policy-<index>.jsonl)")
-			fs.BoolVar(&traceOn, "trace", false, "with -runs: record campaign trace spans (spans.jsonl, for pcs report -perfetto/-top)")
 			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes study cells across runs)")
 			prof.register(fs)
 		},
@@ -124,9 +122,6 @@ func sweepCommand() *cli.Command {
 			if timeline && runsRoot == "" {
 				return fmt.Errorf("-timeline needs -runs (per-job timelines live next to the campaign records)")
 			}
-			if traceOn && runsRoot == "" {
-				return fmt.Errorf("-trace needs -runs (spans.jsonl lives next to the campaign records)")
-			}
 			cache, err := openCache(cacheDir)
 			if err != nil {
 				return err
@@ -138,7 +133,6 @@ func sweepCommand() *cli.Command {
 				runsRoot: runsRoot,
 				progress: progress,
 				timeline: timeline,
-				trace:    traceOn,
 				cache:    cache,
 			}
 			// Canonical order regardless of selection order.
@@ -192,7 +186,6 @@ type sweepHarness struct {
 	runsRoot string
 	progress bool
 	timeline bool
-	trace    bool
 	cache    runner.ResultCache
 
 	cells, cached, computed, failed int
@@ -216,7 +209,6 @@ func (h *sweepHarness) runCampaign(name string, seed uint64, jobs []runner.Spec)
 			return nil, err
 		}
 		opts.ArtifactDir = dir
-		opts.TraceSpans = h.trace
 	}
 	if h.progress {
 		opts.OnProgress = func(p runner.Progress) {

@@ -11,16 +11,17 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 	"repro/internal/report"
 )
 
 // topCommand renders per-cell resource attribution — where a
 // campaign's wall time, CPU time, allocations and simulated energy
-// went. It reads either an archived run directory (timeline.jsonl +
-// results.jsonl) or a live pcs serve campaign over HTTP, following the
-// event stream and refreshing the table until the campaign finishes.
-func topCommand() *cli.Command {
+// went. It reads the job spans of either an archived run directory
+// (spans.jsonl + results.jsonl) or a live pcs serve campaign over
+// HTTP, following the span stream and refreshing the table until the
+// campaign finishes. Tables go to stdout.
+func topCommand(stdout io.Writer) *cli.Command {
 	var (
 		addr     string
 		sortKey  string
@@ -44,20 +45,20 @@ func topCommand() *cli.Command {
 				if fs.NArg() != 1 {
 					return fmt.Errorf("need exactly one run directory (or -addr for live mode)")
 				}
-				return renderTopCells(fs.Arg(0), sortKey, topN)
+				return renderTopCells(stdout, fs.Arg(0), sortKey, topN)
 			}
 			if fs.NArg() > 1 {
 				return fmt.Errorf("at most one campaign id with -addr (got %d args)", fs.NArg())
 			}
-			return liveTop(addr, fs.Arg(0), sortKey, topN, interval, once)
+			return liveTop(stdout, addr, fs.Arg(0), sortKey, topN, interval, once)
 		},
 	}
 }
 
-// liveTop follows a campaign's event stream on a pcs serve instance and
+// liveTop follows a campaign's span stream on a pcs serve instance and
 // periodically re-renders the attribution tables. With an empty id it
 // picks the most recently submitted campaign.
-func liveTop(addr, id, sortKey string, topN int, interval time.Duration, once bool) error {
+func liveTop(stdout io.Writer, addr, id, sortKey string, topN int, interval time.Duration, once bool) error {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -69,37 +70,48 @@ func liveTop(addr, id, sortKey string, topN int, interval time.Duration, once bo
 		}
 	}
 
-	resp, err := http.Get(base + "/campaigns/" + id + "/events")
+	resp, err := http.Get(base + "/campaigns/" + id + "/spans")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET /campaigns/%s/events: %s: %s", id, resp.Status, strings.TrimSpace(string(body)))
+		return fmt.Errorf("GET /campaigns/%s/spans: %s: %s", id, resp.Status, strings.TrimSpace(string(body)))
 	}
 
 	// One goroutine decodes the NDJSON stream; the render loop below
-	// consumes it on its own clock.
-	evCh := make(chan obs.JobEvent, 64)
+	// consumes it on its own clock. The buffer absorbs the burst of a
+	// campaign's recorded spans arriving while a table renders; done
+	// stops the decoder when the render loop returns first.
+	spCh := make(chan tracez.Span, 64)
 	errCh := make(chan error, 1)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		defer close(evCh)
+		defer close(spCh)
 		dec := json.NewDecoder(resp.Body)
 		for {
-			var ev obs.JobEvent
-			if err := dec.Decode(&ev); err != nil {
+			var sp tracez.Span
+			if err := dec.Decode(&sp); err != nil {
 				if err != io.EOF {
-					errCh <- fmt.Errorf("event stream: %w", err)
+					errCh <- fmt.Errorf("span stream: %w", err)
 				}
 				return
 			}
-			evCh <- ev
+			select {
+			case spCh <- sp:
+			case <-done:
+				return
+			}
 		}
 	}()
 
-	render := func(events []obs.JobEvent, clear bool) error {
-		cells := report.CellsFromEvents(events)
+	render := func(spans []tracez.Span, clear bool) error {
+		cells, err := report.CellsFromSpans(spans)
+		if err != nil {
+			return err
+		}
 		if err := attachLiveEnergy(base, id, cells); err != nil {
 			fmt.Fprintf(os.Stderr, "pcs top: energy join: %v\n", err)
 		}
@@ -107,54 +119,54 @@ func liveTop(addr, id, sortKey string, topN int, interval time.Duration, once bo
 			return err
 		}
 		if clear {
-			fmt.Print("\x1b[H\x1b[2J")
+			fmt.Fprint(stdout, "\x1b[H\x1b[2J")
 		}
-		fmt.Printf("campaign %s on %s — %d terminal cells, %s\n\n",
+		fmt.Fprintf(stdout, "campaign %s on %s — %d terminal cells, %s\n\n",
 			id, addr, len(cells), time.Now().Format(time.TimeOnly))
-		if err := report.TopCellsTable(cells, topN).Render(os.Stdout); err != nil {
+		if err := report.TopCellsTable(cells, topN).Render(stdout); err != nil {
 			return err
 		}
-		return report.KindSummaryTable(cells).Render(os.Stdout)
+		return report.KindSummaryTable(cells).Render(stdout)
 	}
 
-	var events []obs.JobEvent
+	var spans []tracez.Span
 	if once {
-		// Snapshot: the stream's first batch carries everything buffered
+		// Snapshot: the stream's first batch carries everything recorded
 		// so far; a short quiet gap means we have caught up.
 		quiet := time.NewTimer(300 * time.Millisecond)
 		defer quiet.Stop()
 	snapshot:
 		for {
 			select {
-			case ev, ok := <-evCh:
+			case sp, ok := <-spCh:
 				if !ok {
 					break snapshot
 				}
-				events = append(events, ev)
+				spans = append(spans, sp)
 				quiet.Reset(300 * time.Millisecond)
 			case <-quiet.C:
 				break snapshot
 			}
 		}
-		return render(events, false)
+		return render(spans, false)
 	}
 
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
-		case ev, ok := <-evCh:
+		case sp, ok := <-spCh:
 			if !ok {
 				select {
 				case err := <-errCh:
 					return err
 				default:
 				}
-				return render(events, false)
+				return render(spans, false)
 			}
-			events = append(events, ev)
+			spans = append(spans, sp)
 		case <-tick.C:
-			if err := render(events, true); err != nil {
+			if err := render(spans, true); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -94,5 +96,67 @@ func TestVerifyRunDir(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "specs digest") {
 		t.Errorf("edited manifest: stderr %q does not name the specs digest", stderr)
+	}
+}
+
+// TestVerifyOldRunDir checks `pcs verify` still accepts a run
+// directory recorded before job spans, whose ledger also chains a
+// timeline.jsonl sidecar, and refuses it, naming the file, once that
+// sidecar is edited: the ledger treats every sidecar name alike.
+func TestVerifyOldRunDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	c := runner.Campaign{Name: "old", Seed: 1, Jobs: []runner.Spec{
+		{Kind: "minvdd", Params: json.RawMessage(`{"size_bytes":65536,"ways":4,"block_bytes":64}`)},
+	}}
+	if _, err := runner.Run(context.Background(), expers.NewCampaignRegistry(), c, runner.Options{Workers: 1, ArtifactDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	timeline := []byte(`{"type":"campaign_started","campaign":"old","index":-1,"elapsed_ms":0}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, "timeline.jsonl"), timeline, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Re-chain the ledger with the timeline.jsonl entry an older run
+	// wrote before its spans.jsonl entry.
+	path := filepath.Join(dir, ledger.FileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := ledger.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	lw := ledger.NewWriter(&buf)
+	for _, e := range entries {
+		if e.Type == ledger.TypeSidecar {
+			sum := sha256.Sum256(timeline)
+			if err := lw.Append(ledger.TypeSidecar, ledger.Sidecar{Name: "timeline.jsonl",
+				Bytes: int64(len(timeline)), Digest: hex.EncodeToString(sum[:])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lw.Append(e.Type, e.Body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, stdout, stderr := runVerify(dir)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"sidecar timeline.jsonl:", "sidecar spans.jsonl:"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "timeline.jsonl"), append(timeline, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runVerify(dir); code != 1 || !strings.Contains(stderr, "timeline.jsonl") {
+		t.Errorf("edited timeline.jsonl: exit %d, stderr %q", code, stderr)
 	}
 }

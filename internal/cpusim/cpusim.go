@@ -601,16 +601,13 @@ func (s *System) simulate(ctx context.Context, p *trace.Pipe, n uint64) error {
 	return nil
 }
 
-// transitionTracer wraps a PolicySink, recording every N-th controller
+// transitionTracer wraps a PolicySink, recording every controller
 // voltage transition as a dpcs.transition instant span under parent.
-// Interval-decision telemetry passes through untouched: spans stay
-// phase-granular, never per-event (transitions are rare; sampling is a
-// belt-and-braces bound for pathological thrashing configurations).
+// Interval-decision telemetry passes through untouched: only the
+// transitions, which are rare, become spans.
 type transitionTracer struct {
 	inner  obs.PolicySink
 	parent *tracez.Span
-	every  uint64
-	n      uint64
 }
 
 // Record implements obs.PolicySink.
@@ -619,10 +616,6 @@ func (t *transitionTracer) Record(ev obs.PolicyEvent) {
 		t.inner.Record(ev)
 	}
 	if ev.Decision != obs.DecisionTransition {
-		return
-	}
-	t.n++
-	if t.n%t.every != 0 {
 		return
 	}
 	sp := t.parent.Child("dpcs.transition")
@@ -654,8 +647,8 @@ func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, 
 	mode := sys.mode
 	parent := tracez.SpanFromContext(ctx)
 	sink := opts.Sink
-	if tr := tracez.FromContext(ctx); tr != nil && parent != nil {
-		sink = &transitionTracer{inner: opts.Sink, parent: parent, every: uint64(tr.TransitionEveryN())}
+	if parent != nil {
+		sink = &transitionTracer{inner: opts.Sink, parent: parent}
 	}
 	for _, lv := range sys.levels() {
 		lv.Ctrl.SetSink(sink)
@@ -737,9 +730,9 @@ func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, 
 	return res, nil
 }
 
-// ResourceCounts implements obs.ResourceCounter: the runner attributes
-// the run's voltage transitions and dirty writebacks to its job in the
-// timeline's resources block.
+// ResourceCounts implements runner.ResourceCounter: the runner
+// attributes the run's voltage transitions and dirty writebacks to its
+// job's resource block.
 func (r Result) ResourceCounts() (transitions int, writebacks uint64) {
 	transitions = r.L1I.Transitions + r.L1D.Transitions + r.L2.Transitions
 	writebacks = r.L1I.Stats.Writebacks + r.L1D.Stats.Writebacks + r.L2.Stats.Writebacks

@@ -165,7 +165,7 @@ type CPUSimOutput struct {
 	L2Transitions     int     `json:"l2_transitions"`
 }
 
-// ResourceCounts implements obs.ResourceCounter. The output document
+// ResourceCounts implements runner.ResourceCounter. The output document
 // records L2 transitions only (its schema predates attribution), so
 // writebacks report zero; fig4-cell jobs return cpusim.Result, which
 // carries the full counts.
@@ -294,7 +294,7 @@ type MulticoreOutput struct {
 	TotalCacheEnergyJ      float64 `json:"total_cache_energy_j"`
 }
 
-// ResourceCounts implements obs.ResourceCounter (writebacks are not in
+// ResourceCounts implements runner.ResourceCounter (writebacks are not in
 // this output schema; see CPUSimOutput.ResourceCounts).
 func (o MulticoreOutput) ResourceCounts() (transitions int, writebacks uint64) {
 	return o.L2Transitions, 0

@@ -131,11 +131,9 @@ type GridOptions struct {
 	// CodeVersion is the build identity for cache keys (version.String).
 	CodeVersion string
 	// ArtifactDir, when non-empty, archives the campaign there
-	// (manifest, timeline, results, ledger — see internal/runner).
+	// (manifest, results, spans, ledger — see internal/runner); its
+	// spans.jsonl feeds `pcs report -perfetto` and `pcs report -top`.
 	ArtifactDir string
-	// TraceSpans records per-cell phase spans to <ArtifactDir>/spans.jsonl
-	// for `pcs report -perfetto` and `pcs report -top`.
-	TraceSpans bool
 }
 
 // GridStats is the cell accounting of one grid execution, for the
@@ -191,7 +189,6 @@ func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads [
 		Cache:       gopts.Cache,
 		CodeVersion: gopts.CodeVersion,
 		ArtifactDir: gopts.ArtifactDir,
-		TraceSpans:  gopts.TraceSpans,
 	}
 	if gopts.Progress != nil {
 		ropts.OnResult = func(r runner.JobResult) {

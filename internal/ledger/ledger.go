@@ -72,17 +72,18 @@ type Result struct {
 	Seed   uint64 `json:"seed"`
 	Status string `json:"status"`
 	// Cached marks a result served from the content-addressed store
-	// rather than computed. It lives here (and in the timeline), not in
-	// results.jsonl, so result files stay byte-identical across cached
-	// and uncached executions.
+	// rather than computed. It lives here (and on the job span in
+	// spans.jsonl), not in results.jsonl, so result files stay
+	// byte-identical across cached and uncached executions.
 	Cached bool   `json:"cached,omitempty"`
 	Digest string `json:"digest"`
 }
 
 // Sidecar is one wall-clock artifact entry body: a run-directory file
-// (timeline.jsonl, spans.jsonl) hash-chained into the ledger so `pcs
-// verify` covers every artifact, not just the deterministic results.
-// Sidecar entries sit between the results and the summary.
+// (spans.jsonl; runs made before job spans also list timeline.jsonl)
+// hash-chained into the ledger so `pcs verify` covers every artifact,
+// not just the deterministic results. Sidecar entries sit between the
+// results and the summary, and verification treats every name alike.
 type Sidecar struct {
 	// Name is the file's name inside the run directory.
 	Name   string `json:"name"`

@@ -30,8 +30,9 @@ type Report struct {
 	Dir      string
 	Manifest Manifest
 	Results  []Result
-	// Sidecars lists the wall-clock artifacts (timeline.jsonl,
-	// spans.jsonl) the chain covers; their file digests were verified.
+	// Sidecars lists the wall-clock artifacts the chain covers
+	// (spans.jsonl; timeline.jsonl too in older runs); their file
+	// digests were verified.
 	Sidecars []Sidecar
 	Summary  Summary
 	// Cached counts results the chain records as cache hits.

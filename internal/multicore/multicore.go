@@ -449,7 +449,7 @@ func (sys *System) drive(ctx context.Context, warmupPerCore, instrPerCore uint64
 	return res, nil
 }
 
-// ResourceCounts implements obs.ResourceCounter for the runner's
+// ResourceCounts implements runner.ResourceCounter for the runner's
 // per-job attribution: shared-L2 voltage transitions plus writebacks
 // from every private L1 and the L2.
 func (r Result) ResourceCounts() (transitions int, writebacks uint64) {

@@ -85,7 +85,7 @@ func ReadPolicyEvents(r io.Reader) ([]PolicyEvent, error) {
 	}
 }
 
-// ReadPolicyTimeline reads a timeline.jsonl file.
+// ReadPolicyTimeline reads a policy timeline JSONL file.
 func ReadPolicyTimeline(path string) ([]PolicyEvent, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package obs is the observability layer: typed DPCS policy telemetry
-// (the structured replacement for the old printf Trace hook), a small
-// metrics registry with Prometheus text rendering, JSONL timeline
-// artifacts, and HTTP request logging middleware.
+// (the structured replacement for the old printf Trace hook) with its
+// JSONL policy timelines, a small metrics registry with Prometheus
+// text rendering, and HTTP request logging middleware. Campaign job
+// records are spans (internal/obs/tracez).
 //
 // The package is a leaf: it imports only the standard library, so every
 // subsystem (core, cpusim, runner, the cmd harnesses) can depend on it

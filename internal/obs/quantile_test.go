@@ -97,26 +97,3 @@ func TestGaugeVecFunc(t *testing.T) {
 		t.Fatalf("NaN exposition invalid: %v", err)
 	}
 }
-
-// TestReadJobEventsRoundTrip checks the timeline reader, including the
-// resource-attribution block.
-func TestReadJobEventsRoundTrip(t *testing.T) {
-	in := `{"type":"campaign_started","campaign":"c","index":-1,"elapsed_ms":0}
-{"type":"job_done","index":0,"kind":"k","elapsed_ms":5,"duration_ms":4.5,"resources":{"wall_ms":4.5,"cpu_ms":4.1,"allocs":12,"alloc_bytes":4096,"cache_miss":true,"transitions":3,"writebacks":7}}
-{"type":"campaign_finished","campaign":"c","index":-1,"elapsed_ms":6,"state":"done"}
-`
-	events, err := ReadJobEvents(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3", len(events))
-	}
-	res := events[1].Resources
-	if res == nil || res.CPUMS != 4.1 || res.Allocs != 12 || !res.CacheMiss || res.Writebacks != 7 {
-		t.Fatalf("resources %+v", res)
-	}
-	if events[0].Resources != nil {
-		t.Fatal("campaign_started should carry no resources")
-	}
-}

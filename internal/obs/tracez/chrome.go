@@ -1,6 +1,7 @@
 package tracez
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,23 +35,32 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// chromeTID picks the event's track from span attributes. JSON-decoded
-// attrs carry numbers as float64; live spans carry int64/uint64.
-func chromeTID(sp *Span) (int, bool) {
-	for _, key := range []string{"worker", "job"} {
-		v, ok := sp.Attrs[key]
-		if !ok {
-			continue
+// chromeArgs decodes a span's attributes into an event's args, keeping
+// numbers exact, and adds the span and parent IDs so they are findable
+// in the Perfetto args pane.
+func chromeArgs(sp *Span) (map[string]any, error) {
+	args := make(map[string]any)
+	if len(sp.Attrs) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(sp.Attrs))
+		dec.UseNumber()
+		if err := dec.Decode(&args); err != nil {
+			return nil, fmt.Errorf("tracez: span %s attrs: %w", sp.ID, err)
 		}
-		switch n := v.(type) {
-		case float64:
-			return int(n), key == "worker"
-		case int64:
-			return int(n), key == "worker"
-		case uint64:
-			return int(n), key == "worker"
-		case int:
-			return n, key == "worker"
+	}
+	args["span"] = sp.ID
+	if sp.Parent != "" {
+		args["parent"] = sp.Parent
+	}
+	return args, nil
+}
+
+// chromeTID picks the event's track from its decoded args.
+func chromeTID(args map[string]any) (tid int, isWorker bool) {
+	for _, key := range []string{"worker", "job"} {
+		if n, ok := args[key].(json.Number); ok {
+			if v, err := n.Int64(); err == nil {
+				return int(v), key == "worker"
+			}
 		}
 	}
 	return 0, false
@@ -62,7 +72,11 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 	workers := make(map[int]bool)
 	for i := range spans {
 		sp := &spans[i]
-		tid, isWorker := chromeTID(sp)
+		args, err := chromeArgs(sp)
+		if err != nil {
+			return err
+		}
+		tid, isWorker := chromeTID(args)
 		if isWorker {
 			workers[tid] = true
 		}
@@ -74,24 +88,12 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 			Dur:   float64(sp.DurNS) / 1e3,
 			PID:   1,
 			TID:   tid,
-			Args:  sp.Attrs,
+			Args:  args,
 		}
 		if sp.Kind == KindInstant {
 			ev.Phase = "i"
 			ev.Scope = "t"
 			ev.Dur = 0
-		} else {
-			// Keep the span/parent IDs findable in the Perfetto args pane,
-			// without mutating the caller's attribute maps.
-			args := make(map[string]any, len(sp.Attrs)+2)
-			for k, v := range sp.Attrs {
-				args[k] = v
-			}
-			args["span"] = sp.ID
-			if sp.Parent != "" {
-				args["parent"] = sp.Parent
-			}
-			ev.Args = args
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ev)
 	}

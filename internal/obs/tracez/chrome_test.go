@@ -11,8 +11,8 @@ import (
 // per interval span (µs units, worker-derived tid), one instant event
 // per instant span, and thread-name metadata for seen workers.
 func TestWriteChromeTrace(t *testing.T) {
-	var c Collector
-	tr := New(&c, Options{})
+	var buf bytes.Buffer
+	tr := New(&buf)
 	ctx, root := tr.Start(context.Background(), "campaign")
 	_, job := tr.Start(ctx, "job")
 	job.SetInt("job", 5)
@@ -23,9 +23,9 @@ func TestWriteChromeTrace(t *testing.T) {
 	job.End()
 	root.End()
 
-	spans := c.Snapshot()
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans); err != nil {
+	spans := readBack(t, &buf)
+	var out bytes.Buffer
+	if err := WriteChromeTrace(&out, spans); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -42,7 +42,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.DisplayTimeUnit != "ms" {
@@ -90,16 +90,26 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestChromeTIDFromDecodedJSON checks tid resolution on float64 attrs
-// (the type JSON decoding produces when re-reading spans.jsonl).
+// TestChromeTIDFromDecodedJSON checks tid resolution on attributes
+// read back from spans.jsonl, and that a seed too large for a float64
+// reaches the args exactly.
 func TestChromeTIDFromDecodedJSON(t *testing.T) {
-	sp := &Span{Attrs: map[string]any{"job": float64(7)}}
-	tid, isWorker := chromeTID(sp)
+	args, err := chromeArgs(&Span{ID: "1", Attrs: json.RawMessage(`{"job":7,"seed":18446744073709551615}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, isWorker := chromeTID(args)
 	if tid != 7 || isWorker {
 		t.Fatalf("tid=%d isWorker=%v, want 7/false", tid, isWorker)
 	}
-	sp = &Span{Attrs: map[string]any{"worker": float64(3), "job": float64(9)}}
-	if tid, isWorker = chromeTID(sp); tid != 3 || !isWorker {
+	if seed := args["seed"].(json.Number).String(); seed != "18446744073709551615" {
+		t.Fatalf("seed arg %s", seed)
+	}
+	args, err = chromeArgs(&Span{ID: "2", Attrs: json.RawMessage(`{"worker":3,"job":9}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tid, isWorker = chromeTID(args); tid != 3 || !isWorker {
 		t.Fatalf("tid=%d isWorker=%v, want 3/true", tid, isWorker)
 	}
 }

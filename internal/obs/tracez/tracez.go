@@ -1,8 +1,8 @@
 // Package tracez is a lightweight, zero-dependency span tracer for
 // campaign executions: causally nested spans (campaign → job →
-// simulator phase → resultstore/ledger operation) with wall-clock
-// timing and typed attributes, serialised as JSON lines and exportable
-// to the Chrome trace-event format (see chrome.go) for Perfetto.
+// simulator phase) with wall-clock timing and typed attributes,
+// serialised as JSON lines and exportable to the Chrome trace-event
+// format (see chrome.go) for Perfetto.
 //
 // The design constraint is the repository's hot-path budget: with
 // tracing disabled every instrumentation site must cost two context
@@ -15,9 +15,14 @@
 // span is nil. The disabled path is asserted alloc-free by
 // TestTracingOffZeroAllocs and gated in scripts/check.sh.
 //
+// With a tracer, recording stays cheap: each setter encodes its
+// attribute into the span's JSON object as it is called, and the
+// tracer writes each finished span as one line to its sink. The same
+// bytes feed a run directory's spans.jsonl and a live stream.
+//
 // Spans are phase-granular, never per-instruction: the simulator's
 // instruction loop is untouched; only phase boundaries (warmup,
-// measurement, energy rollup) and sampled DPCS transition instants are
+// measurement, energy rollup) and DPCS transition instants are
 // recorded.
 package tracez
 
@@ -27,17 +32,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // FileName is the span sidecar's name inside a run directory.
 const FileName = "spans.jsonl"
 
-// KindInstant marks a zero-duration point event (a sampled DPCS
-// transition, for example) rather than an interval.
+// KindInstant marks a zero-duration point event (a DPCS transition,
+// for example) rather than an interval.
 const KindInstant = "instant"
 
 // Span is one traced interval (or instant). The JSON field names are
@@ -55,46 +63,44 @@ type Span struct {
 	// Kind is "" for an interval span, KindInstant for a point event.
 	Kind string `json:"kind,omitempty"`
 	// StartUnixNS and DurNS carry wall-clock placement and duration.
-	// Spans deliberately never feed result records: like
-	// timeline.jsonl, spans.jsonl varies run to run and is excluded
-	// from determinism comparisons.
-	StartUnixNS int64          `json:"start_unix_ns"`
-	DurNS       int64          `json:"dur_ns"`
-	Attrs       map[string]any `json:"attrs,omitempty"`
+	// Spans deliberately never feed result records: spans.jsonl varies
+	// run to run and is excluded from determinism comparisons.
+	StartUnixNS int64 `json:"start_unix_ns"`
+	DurNS       int64 `json:"dur_ns"`
+	// Attrs is the span's attributes as one JSON object. The setters
+	// append to it, so it is a complete object between calls; readers
+	// decode it into a struct or map (numbers come back as JSON
+	// numbers, whatever setter wrote them).
+	Attrs json.RawMessage `json:"attrs,omitempty"`
 
 	tracer *Tracer
 	start  time.Time // monotonic anchor for DurNS
 }
 
-// Options configure a Tracer.
-type Options struct {
-	// TransitionEveryN samples DPCS transition instant events: record
-	// every Nth transition per job. <= 1 records all of them. Phase
-	// spans are never sampled — there are only a handful per job.
-	TransitionEveryN int
-}
-
-// Tracer creates spans and delivers finished ones to its Sink. Safe
-// for concurrent use; a nil *Tracer is a valid no-op tracer.
+// Tracer creates spans and writes finished ones to its sink. Safe for
+// concurrent use; a nil *Tracer is a valid no-op tracer.
 type Tracer struct {
-	sink  Sink
+	sink  io.Writer
 	trace string
 	seq   atomic.Uint64
-	opts  Options
+
+	// mu serialises sink writes; buf is the reused line buffer.
+	mu  sync.Mutex
+	buf []byte
 }
 
 // traceSeq disambiguates tracers created within the same nanosecond.
 var traceSeq atomic.Uint64
 
-// New returns a tracer delivering finished spans to sink.
-func New(sink Sink, opts Options) *Tracer {
-	if opts.TransitionEveryN < 1 {
-		opts.TransitionEveryN = 1
-	}
+// New returns a tracer writing each finished span to sink as one JSON
+// line, newline included, in one Write call. Writes are serialised, so
+// sink needs no locking of its own against the tracer; the line is
+// only valid during the call, and write errors are ignored (the file
+// sink latches its own). A nil sink discards spans.
+func New(sink io.Writer) *Tracer {
 	return &Tracer{
 		sink:  sink,
 		trace: fmt.Sprintf("%x-%x", time.Now().UnixNano(), traceSeq.Add(1)),
-		opts:  opts,
 	}
 }
 
@@ -106,24 +112,16 @@ func (t *Tracer) TraceID() string {
 	return t.trace
 }
 
-// TransitionEveryN returns the configured transition sampling stride
-// (>= 1). Nil-safe; a nil tracer reports 1.
-func (t *Tracer) TransitionEveryN() int {
-	if t == nil {
-		return 1
-	}
-	return t.opts.TransitionEveryN
-}
-
 func (t *Tracer) newSpan(parent, name string) *Span {
+	now := time.Now()
 	return &Span{
 		Trace:       t.trace,
-		ID:          fmt.Sprintf("%x", t.seq.Add(1)),
+		ID:          strconv.FormatUint(t.seq.Add(1), 16),
 		Parent:      parent,
 		Name:        name,
-		StartUnixNS: time.Now().UnixNano(),
+		StartUnixNS: now.UnixNano(),
 		tracer:      t,
-		start:       time.Now(),
+		start:       now,
 	}
 }
 
@@ -161,13 +159,31 @@ func (sp *Span) Child(name string) *Span {
 	return sp.tracer.newSpan(sp.ID, name)
 }
 
+// attrCap sizes a span's attribute buffer on its first attribute: a
+// job span's full set fits, so it grows no further.
+const attrCap = 320
+
+// key appends key to the attribute object: the first attribute opens
+// the object, each later one overwrites its closing brace with a
+// comma. The setter then appends the value and the closing brace.
+// Each key should be set once; a reader keeps the last of duplicates.
+func (sp *Span) key(key string) {
+	if len(sp.Attrs) == 0 {
+		sp.Attrs = append(make([]byte, 0, attrCap), '{')
+	} else {
+		sp.Attrs[len(sp.Attrs)-1] = ','
+	}
+	sp.Attrs = append(appendString(sp.Attrs, key), ':')
+}
+
 // SetStr attaches a string attribute. All setters are nil-safe and
 // must be called before End.
 func (sp *Span) SetStr(key, v string) {
 	if sp == nil {
 		return
 	}
-	sp.set(key, v)
+	sp.key(key)
+	sp.Attrs = append(appendString(sp.Attrs, v), '}')
 }
 
 // SetInt attaches an integer attribute.
@@ -175,7 +191,8 @@ func (sp *Span) SetInt(key string, v int64) {
 	if sp == nil {
 		return
 	}
-	sp.set(key, v)
+	sp.key(key)
+	sp.Attrs = append(strconv.AppendInt(sp.Attrs, v, 10), '}')
 }
 
 // SetUint attaches an unsigned integer attribute.
@@ -183,15 +200,18 @@ func (sp *Span) SetUint(key string, v uint64) {
 	if sp == nil {
 		return
 	}
-	sp.set(key, v)
+	sp.key(key)
+	sp.Attrs = append(strconv.AppendUint(sp.Attrs, v, 10), '}')
 }
 
-// SetFloat attaches a float attribute.
+// SetFloat attaches a float attribute; NaN and ±Inf, which JSON cannot
+// carry, are recorded as null.
 func (sp *Span) SetFloat(key string, v float64) {
 	if sp == nil {
 		return
 	}
-	sp.set(key, v)
+	sp.key(key)
+	sp.Attrs = append(appendFloat(sp.Attrs, v), '}')
 }
 
 // SetBool attaches a boolean attribute.
@@ -199,18 +219,12 @@ func (sp *Span) SetBool(key string, v bool) {
 	if sp == nil {
 		return
 	}
-	sp.set(key, v)
+	sp.key(key)
+	sp.Attrs = append(strconv.AppendBool(sp.Attrs, v), '}')
 }
 
-func (sp *Span) set(key string, v any) {
-	if sp.Attrs == nil {
-		sp.Attrs = make(map[string]any, 4)
-	}
-	sp.Attrs[key] = v
-}
-
-// End stamps the span's duration and delivers it to the tracer's sink.
-// Nil-safe; calling End twice delivers the span twice, so don't.
+// End stamps the span's duration and writes it to the tracer's sink.
+// Nil-safe; calling End twice writes the span twice, so don't.
 func (sp *Span) End() {
 	if sp == nil {
 		return
@@ -220,8 +234,8 @@ func (sp *Span) End() {
 }
 
 // EndInstant marks the span as a point event (zero duration, Kind
-// "instant") and delivers it. Use for sampled occurrences like DPCS
-// transitions where the duration is meaningless at span granularity.
+// "instant") and writes it. Use for occurrences like DPCS transitions
+// where the duration is meaningless at span granularity.
 func (sp *Span) EndInstant() {
 	if sp == nil {
 		return
@@ -232,9 +246,104 @@ func (sp *Span) EndInstant() {
 }
 
 func (t *Tracer) record(sp *Span) {
-	if t.sink != nil {
-		t.sink.Record(sp)
+	if t.sink == nil {
+		return
 	}
+	t.mu.Lock()
+	t.buf = sp.appendLine(t.buf[:0])
+	// A span is best effort: a failing sink reports its own error
+	// (JSONL latches it for Sync and Close) and the campaign goes on.
+	_, _ = t.sink.Write(t.buf)
+	t.mu.Unlock()
+}
+
+// appendLine appends the span's spans.jsonl line, newline included.
+// Its fields are those of the Span struct tags, in order.
+func (sp *Span) appendLine(b []byte) []byte {
+	b = append(b, `{"trace":`...)
+	b = appendString(b, sp.Trace)
+	b = append(b, `,"span":`...)
+	b = appendString(b, sp.ID)
+	if sp.Parent != "" {
+		b = append(b, `,"parent":`...)
+		b = appendString(b, sp.Parent)
+	}
+	b = append(b, `,"name":`...)
+	b = appendString(b, sp.Name)
+	if sp.Kind != "" {
+		b = append(b, `,"kind":`...)
+		b = appendString(b, sp.Kind)
+	}
+	b = append(b, `,"start_unix_ns":`...)
+	b = strconv.AppendInt(b, sp.StartUnixNS, 10)
+	b = append(b, `,"dur_ns":`...)
+	b = strconv.AppendInt(b, sp.DurNS, 10)
+	if len(sp.Attrs) > 0 {
+		b = append(b, `,"attrs":`...)
+		b = append(b, sp.Attrs...)
+	}
+	return append(b, '}', '\n')
+}
+
+// appendString appends s as a JSON string. Each byte of invalid UTF-8
+// becomes the escape of U+FFFD, as encoding/json writes it.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				b = append(append(b, s[start:i]...), `\ufffd`...)
+				start = i + 1
+			}
+			i += size
+			continue
+		}
+		if c >= 0x20 && c != '"' && c != '\\' {
+			i++
+			continue
+		}
+		b = append(b, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			b = append(b, '\\', c)
+		case '\n':
+			b = append(b, '\\', 'n')
+		case '\r':
+			b = append(b, '\\', 'r')
+		case '\t':
+			b = append(b, '\\', 't')
+		default:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		}
+		i++
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// appendFloat appends v as a JSON number in encoding/json's format.
+func appendFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		// Shorten a two-digit negative exponent: 1e-07 to 1e-7.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // Context propagation. Two independent keys: the tracer (installed
@@ -264,113 +373,47 @@ func SpanFromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// Sink receives finished spans. Implementations must be safe for
-// concurrent use; spans arrive from every campaign worker.
-type Sink interface {
-	Record(sp *Span)
-}
-
-// SinkFunc adapts a function to a Sink.
-type SinkFunc func(sp *Span)
-
-// Record calls f.
-func (f SinkFunc) Record(sp *Span) { f(sp) }
-
-// Tee fans finished spans out to several sinks in order.
-func Tee(sinks ...Sink) Sink {
-	return SinkFunc(func(sp *Span) {
-		for _, s := range sinks {
-			s.Record(sp)
-		}
-	})
-}
-
-// Collector is an in-memory sink for tests and the server's live span
-// buffer.
-type Collector struct {
-	mu    sync.Mutex
-	spans []Span
-}
-
-// Record appends a copy of the span.
-func (c *Collector) Record(sp *Span) {
-	c.mu.Lock()
-	c.spans = append(c.spans, *sp)
-	c.mu.Unlock()
-}
-
-// Snapshot returns a copy of the collected spans.
-func (c *Collector) Snapshot() []Span {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Span(nil), c.spans...)
-}
-
-// JSONL is a mutex-serialised JSON-lines span sink backed by a file.
-// Record after Close silently drops (late spans — e.g. a ledger-append
-// span recorded after the sidecar is hash-chained — still reach other
-// Tee'd sinks).
+// JSONL is a buffered spans.jsonl file sink. Write after Close drops
+// the line, and a write error latches and surfaces from Sync and
+// Close; Write itself always succeeds, so a failing file never keeps a
+// line from the other writers of an io.MultiWriter.
 type JSONL struct {
 	mu     sync.Mutex
 	f      *os.File
 	w      *bufio.Writer
-	enc    *json.Encoder
 	err    error
 	closed bool
-	n      int
 }
 
-// CreateJSONL creates (truncating) path and returns a sink writing one
-// span per line.
+// CreateJSONL creates (truncating) path and returns a sink writing to
+// it.
 func CreateJSONL(path string) (*JSONL, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("tracez: %w", err)
 	}
-	s := &JSONL{f: f, w: bufio.NewWriter(f)}
-	s.enc = json.NewEncoder(s.w)
-	return s, nil
+	return &JSONL{f: f, w: bufio.NewWriter(f)}, nil
 }
 
-// Record writes one span line. Write errors latch and surface from
-// Err/Close.
-func (s *JSONL) Record(sp *Span) {
+// Write appends one span line.
+func (s *JSONL) Write(line []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.err != nil {
-		return
+		return len(line), nil
 	}
-	if err := s.enc.Encode(sp); err != nil {
-		s.err = fmt.Errorf("tracez: encode span: %w", err)
-		return
+	if _, err := s.w.Write(line); err != nil {
+		s.err = fmt.Errorf("tracez: write span: %w", err)
 	}
-	s.n++
-}
-
-// Len returns how many spans have been written.
-func (s *JSONL) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Err returns the first latched write error.
-func (s *JSONL) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	return len(line), nil
 }
 
 // Sync flushes buffered lines and fsyncs the file, so a killed process
 // never leaves a torn line on disk. Safe to call concurrently with
-// Record and after Close (then a no-op).
+// Write and after Close (then a no-op).
 func (s *JSONL) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.syncLocked()
-}
-
-func (s *JSONL) syncLocked() error {
 	if s.closed {
 		return s.err
 	}
@@ -383,7 +426,7 @@ func (s *JSONL) syncLocked() error {
 	return s.err
 }
 
-// Close flushes and closes the file. Further Records drop.
+// Close flushes and closes the file. Further Writes drop.
 func (s *JSONL) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

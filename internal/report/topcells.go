@@ -7,72 +7,53 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 )
 
-// CellUsage is one job's resource attribution, assembled from the
-// campaign timeline (and optionally results.jsonl for energy): the
-// row type behind `pcs report -top` and `pcs top`.
+// CellUsage is one job's resource attribution, decoded from its job
+// span (and optionally joined with results.jsonl for energy): the row
+// type behind `pcs report -top` and `pcs top`. The JSON names are the
+// job span's attribute names.
 type CellUsage struct {
-	Index  int
-	Kind   string
-	Name   string
-	Status string // done / failed / cancelled
-	WallMS float64
-	CPUMS  float64
-	Allocs uint64
+	Index  int    `json:"job"`
+	Kind   string `json:"kind"`
+	Name   string `json:"name"`
+	Status string `json:"status"` // done / failed / cancelled
+	// WallMS is the job span's duration.
+	WallMS float64 `json:"-"`
+	CPUMS  float64 `json:"cpu_ms"`
+	Allocs uint64  `json:"allocs"`
 	// AllocBytes is the job's heap allocation volume.
-	AllocBytes uint64
-	// CacheHit/CacheMiss attribute the resultstore probe.
-	CacheHit  bool
-	CacheMiss bool
+	AllocBytes uint64 `json:"alloc_bytes"`
+	// Cache is the resultstore probe's outcome: "hit", "miss", or ""
+	// when the job did not consult the store.
+	Cache string `json:"cache"`
 	// Transitions/Writebacks are the simulator-side counts.
-	Transitions int
-	Writebacks  uint64
+	Transitions int    `json:"transitions"`
+	Writebacks  uint64 `json:"writebacks"`
 	// EnergyJ is the cell's simulated total cache energy, parsed from
 	// results.jsonl when the output reports total_cache_energy_j.
-	EnergyJ float64
+	EnergyJ float64 `json:"-"`
 }
 
-// eventStatus maps terminal timeline event types to a status word.
-var eventStatus = map[obs.JobEventType]string{
-	obs.EventJobDone:      "done",
-	obs.EventJobFailed:    "failed",
-	obs.EventJobCancelled: "cancelled",
-}
-
-// CellsFromEvents assembles per-cell usage from a campaign timeline,
-// one row per terminal job event, in job-index order. Events without a
-// resources block (older runs) still contribute wall time from
-// DurationMS.
-func CellsFromEvents(events []obs.JobEvent) []CellUsage {
+// CellsFromSpans assembles per-cell usage from a campaign's spans, one
+// row per job span, in job-index order. A job span is written when its
+// job ends, so the rows are the jobs that reached a terminal state.
+func CellsFromSpans(spans []tracez.Span) ([]CellUsage, error) {
 	var cells []CellUsage
-	for _, ev := range events {
-		status, ok := eventStatus[ev.Type]
-		if !ok {
+	for i := range spans {
+		sp := &spans[i]
+		if sp.Name != "job" {
 			continue
 		}
-		c := CellUsage{
-			Index:  ev.Index,
-			Kind:   ev.Kind,
-			Name:   ev.Name,
-			Status: status,
-			WallMS: ev.DurationMS,
-		}
-		if r := ev.Resources; r != nil {
-			c.WallMS = r.WallMS
-			c.CPUMS = r.CPUMS
-			c.Allocs = r.Allocs
-			c.AllocBytes = r.AllocBytes
-			c.CacheHit = r.CacheHit
-			c.CacheMiss = r.CacheMiss
-			c.Transitions = r.Transitions
-			c.Writebacks = r.Writebacks
+		c := CellUsage{WallMS: float64(sp.DurNS) / 1e6}
+		if err := json.Unmarshal(sp.Attrs, &c); err != nil {
+			return nil, fmt.Errorf("report: job span %s: %w", sp.ID, err)
 		}
 		cells = append(cells, c)
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Index < cells[j].Index })
-	return cells
+	return cells, nil
 }
 
 // AttachEnergy joins each cell with its result record's
@@ -155,14 +136,10 @@ func cellLabel(c CellUsage) string {
 
 // cacheMark renders the cell's resultstore provenance.
 func cacheMark(c CellUsage) string {
-	switch {
-	case c.CacheHit:
-		return "hit"
-	case c.CacheMiss:
-		return "miss"
-	default:
+	if c.Cache == "" {
 		return "-"
 	}
+	return c.Cache
 }
 
 // TopCellsTable renders the first n cells (all if n <= 0) of an
@@ -204,10 +181,10 @@ func KindSummaryTable(cells []CellUsage) *Table {
 		a.wall += c.WallMS
 		a.cpu += c.CPUMS
 		a.allocBytes += c.AllocBytes
-		if c.CacheHit {
+		switch c.Cache {
+		case "hit":
 			a.hits++
-		}
-		if c.CacheMiss {
+		case "miss":
 			a.misses++
 		}
 		a.energyJ += c.EnergyJ

@@ -4,30 +4,42 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 )
 
-func topcellsEvents() []obs.JobEvent {
-	res := func(wall, cpu float64, bytes uint64, hit bool, trans int) *obs.JobResources {
-		return &obs.JobResources{
-			WallMS: wall, CPUMS: cpu, Allocs: bytes / 64, AllocBytes: bytes,
-			CacheHit: hit, CacheMiss: !hit, Transitions: trans, Writebacks: uint64(trans) * 3,
-		}
+// topcellsSpans is a small campaign's spans.jsonl: the campaign span,
+// a DPCS phase span and three job spans, out of index order.
+func topcellsSpans(t *testing.T) []tracez.Span {
+	t.Helper()
+	spans, err := tracez.ReadSpans(strings.NewReader(`{"trace":"t","span":"5","parent":"1","name":"sim.measure","start_unix_ns":10,"dur_ns":40000000}
+{"trace":"t","span":"3","parent":"1","name":"job","start_unix_ns":1,"dur_ns":5000000,"attrs":{"job":1,"kind":"cpusim","name":"fast","status":"done","cpu_ms":4,"allocs":16384,"alloc_bytes":1048576,"cache":"hit","transitions":2,"writebacks":6}}
+{"trace":"t","span":"2","parent":"1","name":"job","start_unix_ns":1,"dur_ns":50000000,"attrs":{"job":0,"kind":"cpusim","name":"slow","status":"done","cpu_ms":45,"allocs":131072,"alloc_bytes":8388608,"cache":"miss","stored_bytes":900,"transitions":7,"writebacks":21}}
+{"trace":"t","span":"4","parent":"1","name":"job","start_unix_ns":1,"dur_ns":1000000,"attrs":{"job":2,"kind":"analytical","status":"failed","error":"boom","cpu_ms":1,"allocs":16,"alloc_bytes":1024,"cache":"miss"}}
+{"trace":"t","span":"1","name":"campaign","start_unix_ns":0,"dur_ns":60000000,"attrs":{"campaign":"c","done":2,"failed":1}}
+`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return []obs.JobEvent{
-		{Type: obs.EventCampaignStarted, Index: -1, Campaign: "c"},
-		{Type: obs.EventJobStarted, Index: 0, Kind: "cpusim"},
-		{Type: obs.EventJobDone, Index: 1, Kind: "cpusim", Name: "fast", Resources: res(5, 4, 1<<20, true, 2)},
-		{Type: obs.EventJobDone, Index: 0, Kind: "cpusim", Name: "slow", Resources: res(50, 45, 8<<20, false, 7)},
-		{Type: obs.EventJobFailed, Index: 2, Kind: "analytical", Error: "boom", Resources: res(1, 1, 1<<10, false, 0)},
-		{Type: obs.EventCampaignFinished, Index: -1, State: "done"},
+	return spans
+}
+
+// cellsOf is CellsFromSpans that fails the test on a decode error.
+func cellsOf(t *testing.T, spans []tracez.Span) []CellUsage {
+	t.Helper()
+	cells, err := CellsFromSpans(spans)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return cells
 }
 
 func TestCellsFromEventsAndSort(t *testing.T) {
-	cells := CellsFromEvents(topcellsEvents())
+	cells := cellsOf(t, topcellsSpans(t))
 	if len(cells) != 3 {
 		t.Fatalf("got %d cells, want 3", len(cells))
+	}
+	if c := cells[0]; c.WallMS != 50 || c.CPUMS != 45 || c.AllocBytes != 8<<20 || c.Cache != "miss" || c.Transitions != 7 || c.Writebacks != 21 {
+		t.Errorf("cell 0 %+v", c)
 	}
 	// Index order from assembly.
 	for i, c := range cells {
@@ -56,7 +68,7 @@ func TestCellsFromEventsAndSort(t *testing.T) {
 }
 
 func TestAttachEnergyAndTables(t *testing.T) {
-	cells := CellsFromEvents(topcellsEvents())
+	cells := cellsOf(t, topcellsSpans(t))
 	results := strings.Join([]string{
 		`{"index":0,"status":"done","output":{"total_cache_energy_j":0.004}}`,
 		`{"index":1,"status":"done","output":{"total_cache_energy_j":0.001}}`,
@@ -103,13 +115,17 @@ func TestAttachEnergyAndTables(t *testing.T) {
 	}
 }
 
-// TestCellsWithoutResources covers timelines from runs that predate
-// attribution: DurationMS still populates wall time.
+// TestCellsWithoutResources covers job spans that carry only their
+// identity: the span's duration still populates wall time, and a span
+// whose attributes do not decode is an error.
 func TestCellsWithoutResources(t *testing.T) {
-	cells := CellsFromEvents([]obs.JobEvent{
-		{Type: obs.EventJobDone, Index: 0, Kind: "old", DurationMS: 12.5},
+	cells := cellsOf(t, []tracez.Span{
+		{Name: "job", DurNS: 12_500_000, Attrs: []byte(`{"job":0,"kind":"old","status":"done"}`)},
 	})
-	if len(cells) != 1 || cells[0].WallMS != 12.5 || cells[0].CPUMS != 0 {
+	if len(cells) != 1 || cells[0].WallMS != 12.5 || cells[0].CPUMS != 0 || cells[0].Cache != "" {
 		t.Fatalf("cells %+v", cells)
+	}
+	if _, err := CellsFromSpans([]tracez.Span{{Name: "job", Attrs: []byte(`{"job":"zero"}`)}}); err == nil {
+		t.Fatal("a job span with a string job index was accepted")
 	}
 }

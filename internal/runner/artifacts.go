@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/ledger"
-	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 )
 
@@ -24,20 +22,20 @@ import (
 //	manifest.json   what ran: campaign name, seed, job specs, workers
 //	results.jsonl   one JobResult per line, in job-index order
 //	summary.json    terminal counts and elapsed time
-//	timeline.jsonl  one obs.JobEvent per line, in wall-clock order
-//	spans.jsonl     one tracez.Span per line (Options.TraceSpans only)
+//	spans.jsonl     one tracez.Span per line, in end order: the campaign,
+//	                one job span per job with its outcome and resources,
+//	                and the phases inside each job
 //	ledger.jsonl    hash-chained digests (see internal/ledger)
 //
 // results.jsonl is written from the deterministic per-job records only,
 // so two executions of the same campaign+seed produce byte-identical
-// files regardless of worker count. timeline.jsonl and spans.jsonl are
-// the deliberate exceptions: they record when each job started and
-// finished (and what ran inside it), so they vary run to run and are
-// never an input to result comparison. ledger.jsonl chains a digest of
-// every results.jsonl line back to the spec digest, seed and code
-// version — and closes over the wall-clock sidecars with whole-file
-// digests — so `pcs verify` can prove the directory's integrity after
-// the fact.
+// files regardless of worker count. spans.jsonl is the deliberate
+// exception, the run's one wall-clock sidecar: it records when each
+// job ran and what it cost, so it varies run to run and is never an
+// input to result comparison. ledger.jsonl chains a digest of every
+// results.jsonl line back to the spec digest, seed and code version —
+// and closes over the sidecar with a whole-file digest — so
+// `pcs verify` can prove the directory's integrity after the fact.
 
 // NewRunDir creates and returns a fresh timestamped run directory under
 // root (e.g. "runs"). Collisions get a numeric suffix.
@@ -71,44 +69,28 @@ type manifest struct {
 	Workers  int       `json:"workers"`
 	Created  time.Time `json:"created"`
 	// Sidecars lists the wall-clock artifacts this run will produce;
-	// each is hash-chained into ledger.jsonl at finish.
+	// each is hash-chained into ledger.jsonl at finish. A run writes
+	// spans.jsonl only; older runs list timeline.jsonl too.
 	Sidecars []string `json:"sidecars,omitempty"`
 	Specs    []Spec   `json:"specs"`
 }
 
 type artifactStore struct {
-	dir      string
-	campaign string
+	dir string
 	// c, workers, codeVersion feed the ledger's manifest entry.
 	c           Campaign
 	workers     int
 	codeVersion string
 
-	// Timeline state. Workers emit events concurrently; the mutex keeps
-	// lines whole and the start time anchors the elapsed offsets.
-	tmu   sync.Mutex
-	tf    *os.File
-	tw    *bufio.Writer
-	tenc  *json.Encoder
-	terr  error
-	start time.Time
-
-	// spans is the spans.jsonl sink, nil unless tracing is enabled.
+	// spans is the spans.jsonl sink, the run's one sidecar.
 	spans *tracez.JSONL
-	// sidecars names the wall-clock artifacts (in write order) listed
-	// in the manifest and hash-chained into the ledger at finish.
-	sidecars []string
 }
 
 // newArtifactStore creates dir if needed, writes the manifest and opens
-// the timeline (and, with tracing, the span sidecar).
-func newArtifactStore(dir string, c Campaign, workers int, codeVersion string, traceSpans bool) (*artifactStore, error) {
+// the span sidecar.
+func newArtifactStore(dir string, c Campaign, workers int, codeVersion string) (*artifactStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: artifact dir: %w", err)
-	}
-	sidecars := []string{"timeline.jsonl"}
-	if traceSpans {
-		sidecars = append(sidecars, tracez.FileName)
 	}
 	m := manifest{
 		Campaign: c.Name,
@@ -116,134 +98,38 @@ func newArtifactStore(dir string, c Campaign, workers int, codeVersion string, t
 		Jobs:     len(c.Jobs),
 		Workers:  workers,
 		Created:  time.Now().UTC(),
-		Sidecars: sidecars,
+		Sidecars: []string{tracez.FileName},
 		Specs:    c.Jobs,
 	}
 	if err := writeJSON(filepath.Join(dir, "manifest.json"), m); err != nil {
 		return nil, err
 	}
-	tf, err := os.Create(filepath.Join(dir, "timeline.jsonl"))
+	spans, err := tracez.CreateJSONL(filepath.Join(dir, tracez.FileName))
 	if err != nil {
-		return nil, fmt.Errorf("runner: timeline.jsonl: %w", err)
+		return nil, fmt.Errorf("runner: %w", err)
 	}
-	a := &artifactStore{
-		dir: dir, campaign: c.Name,
-		c: c, workers: workers, codeVersion: codeVersion,
-		tf: tf, start: time.Now(),
-		sidecars: sidecars,
-	}
-	a.tw = bufio.NewWriter(tf)
-	a.tenc = json.NewEncoder(a.tw)
-	if traceSpans {
-		a.spans, err = tracez.CreateJSONL(filepath.Join(dir, tracez.FileName))
-		if err != nil {
-			tf.Close()
-			return nil, fmt.Errorf("runner: %s: %w", tracez.FileName, err)
-		}
-	}
-	a.event(obs.JobEvent{Type: obs.EventCampaignStarted, Campaign: c.Name, Index: -1})
-	return a, nil
+	return &artifactStore{
+		dir: dir,
+		c:   c, workers: workers, codeVersion: codeVersion,
+		spans: spans,
+	}, nil
 }
 
-// SyncArtifacts flushes and fsyncs the buffered wall-clock sidecars so
-// a process killed right after (server drain, cancellation) leaves
-// whole lines on disk. Implements ArtifactSyncer.
+// SyncArtifacts flushes and fsyncs spans.jsonl so a process killed
+// right after (server drain, cancellation) leaves whole lines on disk.
+// Implements ArtifactSyncer.
 func (a *artifactStore) SyncArtifacts() error {
-	a.tmu.Lock()
-	err := a.terr
-	if a.tf != nil {
-		if ferr := a.tw.Flush(); ferr != nil && err == nil {
-			err = fmt.Errorf("runner: flush timeline.jsonl: %w", ferr)
-		}
-		if serr := a.tf.Sync(); serr != nil && err == nil {
-			err = fmt.Errorf("runner: fsync timeline.jsonl: %w", serr)
-		}
-	}
-	a.tmu.Unlock()
-	if a.spans != nil {
-		if serr := a.spans.Sync(); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	return err
+	return a.spans.Sync()
 }
 
-// event appends one timeline line, stamping the elapsed offset. Write
-// errors latch and surface from finish.
-func (a *artifactStore) event(ev obs.JobEvent) {
-	a.tmu.Lock()
-	defer a.tmu.Unlock()
-	if a.terr != nil || a.tf == nil {
-		return
-	}
-	ev.ElapsedMS = float64(time.Since(a.start).Microseconds()) / 1e3
-	if err := a.tenc.Encode(&ev); err != nil {
-		a.terr = fmt.Errorf("runner: encode timeline event: %w", err)
-	}
-}
-
-// jobStarted records a worker picking up job i.
-func (a *artifactStore) jobStarted(i int, spec Spec) {
-	a.event(obs.JobEvent{Type: obs.EventJobStarted, Index: i, Kind: spec.Kind, Name: spec.Name})
-}
-
-// jobFinished records a job reaching a terminal state.
-func (a *artifactStore) jobFinished(r JobResult) {
-	typ := obs.EventJobDone
-	switch r.Status {
-	case StatusFailed:
-		typ = obs.EventJobFailed
-	case StatusCancelled:
-		typ = obs.EventJobCancelled
-	}
-	a.event(obs.JobEvent{
-		Type:       typ,
-		Index:      r.Index,
-		Kind:       r.Kind,
-		Name:       r.Name,
-		Error:      r.Error,
-		DurationMS: float64(r.Duration.Microseconds()) / 1e3,
-		Cached:     r.Cached,
-		Resources:  r.Resources,
-	})
-}
-
-// closeTimeline writes the closing event and flushes the file.
-func (a *artifactStore) closeTimeline(res *CampaignResult) error {
-	state := "done"
-	if res.Failed > 0 {
-		state = "failed"
-	}
-	if res.Cancelled > 0 {
-		state = "cancelled"
-	}
-	a.event(obs.JobEvent{Type: obs.EventCampaignFinished, Campaign: a.campaign, Index: -1, State: state})
-	a.tmu.Lock()
-	defer a.tmu.Unlock()
-	if err := a.tw.Flush(); err != nil && a.terr == nil {
-		a.terr = fmt.Errorf("runner: flush timeline.jsonl: %w", err)
-	}
-	if err := a.tf.Close(); err != nil && a.terr == nil {
-		a.terr = fmt.Errorf("runner: close timeline.jsonl: %w", err)
-	}
-	// Late SyncArtifacts calls (a drain racing campaign completion)
-	// must not flush into a closed file.
-	a.tf = nil
-	return a.terr
-}
-
-// finish closes the timeline and span sidecars, writes results.jsonl
-// (index order), summary.json and the hash-chained ledger.jsonl. It
-// runs on every campaign exit — including cancellation — so a
-// cancelled run still leaves a closed, verifiable chain. The tracer
-// (nil when tracing is off) times the bookkeeping itself; note the
-// ledger.append span can no longer land in spans.jsonl — the sidecar
-// is already hashed by then — so it reaches only live sinks (the
-// server's span stream).
+// finish writes results.jsonl (index order) and summary.json, closes
+// spans.jsonl and writes the hash-chained ledger.jsonl. It runs on
+// every campaign exit — including cancellation — so a cancelled run
+// still leaves a closed, verifiable chain. The tracer times the
+// bookkeeping itself; the ledger.append span can no longer land in
+// spans.jsonl — the sidecar is already hashed by then — so it reaches
+// only a live sink (the server's span stream).
 func (a *artifactStore) finish(results []JobResult, res *CampaignResult, tracer *tracez.Tracer) error {
-	if err := a.closeTimeline(res); err != nil {
-		return err
-	}
 	wspan := tracer.StartRoot("results.write")
 	f, err := os.Create(filepath.Join(a.dir, "results.jsonl"))
 	if err != nil {
@@ -286,23 +172,17 @@ func (a *artifactStore) finish(results []JobResult, res *CampaignResult, tracer 
 	if err := writeJSON(filepath.Join(a.dir, "summary.json"), summary); err != nil {
 		return err
 	}
-	// Seal the span sidecar, then digest every sidecar for the ledger.
-	if a.spans != nil {
-		if err := a.spans.Close(); err != nil {
-			return err
-		}
+	// Seal the span sidecar, then digest it for the ledger.
+	if err := a.spans.Close(); err != nil {
+		return err
 	}
-	sidecars := make([]ledger.Sidecar, 0, len(a.sidecars))
-	for _, name := range a.sidecars {
-		sc, err := fileSidecar(a.dir, name)
-		if err != nil {
-			return err
-		}
-		sidecars = append(sidecars, sc)
+	sc, err := fileSidecar(a.dir, tracez.FileName)
+	if err != nil {
+		return err
 	}
 	lspan := tracer.StartRoot("ledger.append")
-	err = a.writeLedger(results, res, lineDigests, hex.EncodeToString(fileHash.Sum(nil)), sidecars)
-	lspan.SetInt("entries", int64(len(results)+len(sidecars)+2))
+	err = a.writeLedger(results, res, lineDigests, hex.EncodeToString(fileHash.Sum(nil)), sc)
+	lspan.SetInt("entries", int64(len(results)+3))
 	lspan.End()
 	return err
 }
@@ -323,8 +203,8 @@ func fileSidecar(dir, name string) (ledger.Sidecar, error) {
 
 // writeLedger emits the hash chain closing over the campaign's spec
 // digest, seed, code version, every result digest and the wall-clock
-// sidecar digests.
-func (a *artifactStore) writeLedger(results []JobResult, res *CampaignResult, lineDigests []string, resultsDigest string, sidecars []ledger.Sidecar) error {
+// sidecar's digest.
+func (a *artifactStore) writeLedger(results []JobResult, res *CampaignResult, lineDigests []string, resultsDigest string, sidecar ledger.Sidecar) error {
 	specsRaw, err := json.Marshal(a.c.Jobs)
 	if err != nil {
 		return fmt.Errorf("runner: marshal specs for ledger: %w", err)
@@ -362,11 +242,8 @@ func (a *artifactStore) writeLedger(results []JobResult, res *CampaignResult, li
 			Digest: lineDigests[i],
 		})
 	}
-	for _, sc := range sidecars {
-		if err != nil {
-			break
-		}
-		err = lw.Append(ledger.TypeSidecar, sc)
+	if err == nil {
+		err = lw.Append(ledger.TypeSidecar, sidecar)
 	}
 	if err == nil {
 		err = lw.Append(ledger.TypeSummary, ledger.Summary{

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/ledger"
+	"repro/internal/obs/tracez"
 )
 
 // TestNewRunDirSuffixing checks colliding timestamps get numeric
@@ -125,7 +126,7 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 // TestCancelledRunClosesArtifacts checks a cancelled campaign still
-// leaves a parseable timeline and a closed, verifiable ledger chain:
+// leaves a parseable spans.jsonl and a closed, verifiable ledger chain:
 // the summary entry must be present (truncation would otherwise be
 // indistinguishable from a crash) and record the cancelled counts.
 func TestCancelledRunClosesArtifacts(t *testing.T) {
@@ -154,19 +155,24 @@ func TestCancelledRunClosesArtifacts(t *testing.T) {
 			rep.Summary, res.Done, res.Cancelled)
 	}
 
-	// Every timeline line must be a whole JSON document (no torn write
-	// from the cancelled workers).
-	b, err := os.ReadFile(filepath.Join(dir, "timeline.jsonl"))
+	// Every spans.jsonl line must be a whole JSON document (no torn
+	// write from the cancelled workers), and each job that ran has its
+	// span.
+	b, err := os.ReadFile(filepath.Join(dir, tracez.FileName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobSpans := 0
 	for i, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
-		if line == "" {
-			continue
+		var sp tracez.Span
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("spans.jsonl line %d: %v", i, err)
 		}
-		var v map[string]any
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
-			t.Fatalf("timeline line %d: %v", i, err)
+		if sp.Name == "job" {
+			jobSpans++
 		}
+	}
+	if jobSpans == 0 || jobSpans > len(c.Jobs) {
+		t.Fatalf("%d job spans for %d jobs", jobSpans, len(c.Jobs))
 	}
 }

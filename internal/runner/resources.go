@@ -4,12 +4,41 @@ import (
 	"runtime"
 	rm "runtime/metrics"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// resourceProbe measures one job's resource consumption for the
-// timeline's attribution block (obs.JobResources): thread CPU time via
+// JobResources attributes measured cost to one job: where the
+// campaign's CPU time and allocations actually went. CPU time is the
+// worker thread's rusage delta (Linux; zero elsewhere), allocations are
+// runtime/metrics heap deltas sampled on the worker goroutine — exact
+// for the serial portions of a job, approximate for anything the job
+// itself parallelises. The job span carries the same block as
+// attributes (see endJobSpan), with its duration as the wall time.
+type JobResources struct {
+	// CPUMS is the worker OS thread's user+system CPU time over the
+	// job (RUSAGE_THREAD delta under runtime.LockOSThread).
+	CPUMS float64
+	// Allocs and AllocBytes are heap allocation deltas over the job.
+	Allocs     uint64
+	AllocBytes uint64
+	// CacheHit/CacheMiss attribute the resultstore probe: exactly one
+	// is true when the job consulted the store, both false otherwise.
+	CacheHit  bool
+	CacheMiss bool
+	// Transitions and Writebacks summarise the simulator's DPCS
+	// activity when the job's output reports it (see ResourceCounter).
+	Transitions int
+	Writebacks  uint64
+}
+
+// ResourceCounter is implemented by job outputs that can report their
+// simulator-side resource counts (DPCS transitions, writebacks) for
+// the job's resource block. cpusim.Result implements it.
+type ResourceCounter interface {
+	ResourceCounts() (transitions int, writebacks uint64)
+}
+
+// resourceProbe measures one job's resource consumption for its
+// JobResources block: thread CPU time via
 // rusage deltas and heap allocation deltas via runtime/metrics. The
 // probe pins the worker goroutine to its OS thread for the duration of
 // the job so RUSAGE_THREAD attributes the kind function's CPU time to
@@ -49,12 +78,9 @@ func startResourceProbe() *resourceProbe {
 }
 
 // stop samples the end state, unpins the thread, and returns the
-// attribution block. wall is the job's already-measured duration.
-func (p *resourceProbe) stop(wall time.Duration) *obs.JobResources {
-	res := &obs.JobResources{
-		WallMS:    float64(wall.Microseconds()) / 1e3,
-		CacheMiss: p.cacheMiss,
-	}
+// attribution block.
+func (p *resourceProbe) stop() *JobResources {
+	res := &JobResources{CacheMiss: p.cacheMiss}
 	if cpu, ok := threadCPUTime(); ok && p.cpuOK {
 		res.CPUMS = float64((cpu - p.cpuStart).Microseconds()) / 1e3
 	}

@@ -25,12 +25,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/resultstore"
 	"repro/internal/stats"
@@ -93,18 +93,18 @@ type JobResult struct {
 	Output any    `json:"output,omitempty"`
 	// Duration is the job's wall-clock run time. It is excluded from
 	// JSON so results.jsonl stays byte-identical across worker counts;
-	// wall-clock timing belongs to the timeline artifact.
+	// wall-clock timing belongs to the job's span.
 	Duration time.Duration `json:"-"`
 	// Cached marks a result served from Options.Cache instead of
 	// computed. Excluded from JSON for the same determinism reason as
 	// Duration: a cached re-run must reproduce results.jsonl
-	// byte-identically. Cache provenance is recorded in timeline.jsonl
-	// and ledger.jsonl.
+	// byte-identically. Cache provenance is recorded on the job span
+	// and in ledger.jsonl.
 	Cached bool `json:"-"`
 	// Resources is the job's measured resource-attribution block (CPU
 	// time, allocations, cache probe outcome). Excluded from JSON like
-	// Duration: it is wall-clock data and belongs to the timeline.
-	Resources *obs.JobResources `json:"-"`
+	// Duration: it is wall-clock data and belongs to the job span.
+	Resources *JobResources `json:"-"`
 }
 
 // Progress is a snapshot of a running campaign.
@@ -131,8 +131,8 @@ type Options struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// ArtifactDir, when non-empty, is the directory (typically
-	// runs/<timestamp>, see NewRunDir) that receives manifest.json and
-	// results.jsonl.
+	// runs/<timestamp>, see NewRunDir) that receives the run's
+	// artifacts, spans.jsonl among them (see artifacts.go).
 	ArtifactDir string
 	// OnProgress, when non-nil, is called (serialised) after every job
 	// reaches a terminal state.
@@ -159,17 +159,14 @@ type Options struct {
 	// ledger. Empty is allowed but conflates builds; the pcs CLI always
 	// passes version.String().
 	CodeVersion string
-	// TraceSpans enables span tracing: with an ArtifactDir the run
-	// gains a spans.jsonl sidecar (hash-chained into the ledger), and
-	// the campaign/job/phase span tree is delivered to SpanSink if one
-	// is installed. Off by default: the disabled path costs zero
-	// allocations (see internal/obs/tracez) and results.jsonl is
-	// byte-identical either way.
-	TraceSpans bool
-	// SpanSink, when non-nil (and TraceSpans is set), additionally
-	// receives every finished span live — the server uses it to feed
-	// GET /campaigns/{id}/spans while the campaign runs.
-	SpanSink tracez.Sink
+	// SpanSink, when non-nil, receives every finished span live, as
+	// the same JSON line spans.jsonl gets, in one Write call per span
+	// (see tracez.New); the server uses it to feed
+	// GET /campaigns/{id}/spans while the campaign runs. A campaign
+	// records spans whenever it has an ArtifactDir or a SpanSink; with
+	// neither, its tracer is nil and costs zero allocations.
+	// results.jsonl is byte-identical either way.
+	SpanSink io.Writer
 	// OnArtifacts, when non-nil, is called once with the run's artifact
 	// store before any job starts, so callers can flush-and-fsync the
 	// wall-clock sidecars on demand (server drain).
@@ -182,9 +179,8 @@ type Options struct {
 	NoWorkerState bool
 }
 
-// ArtifactSyncer flushes buffered artifact sidecars (timeline.jsonl,
-// spans.jsonl) to durable storage. Safe for concurrent use with the
-// writers.
+// ArtifactSyncer flushes the buffered spans.jsonl sidecar to durable
+// storage. Safe for concurrent use with the writers.
 type ArtifactSyncer interface {
 	SyncArtifacts() error
 }
@@ -237,7 +233,7 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 	var store *artifactStore
 	if opts.ArtifactDir != "" {
 		var err error
-		store, err = newArtifactStore(opts.ArtifactDir, c, workers, opts.CodeVersion, opts.TraceSpans)
+		store, err = newArtifactStore(opts.ArtifactDir, c, workers, opts.CodeVersion)
 		if err != nil {
 			return nil, err
 		}
@@ -258,26 +254,19 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 		}()
 	}
 
-	// Span tracing: the tracer tees into the run directory's
-	// spans.jsonl (if any) and the caller's live sink (if any). A nil
-	// tracer costs nothing at the instrumentation sites.
+	// Spans go to the run directory's spans.jsonl and the caller's live
+	// sink, whichever exist, encoded once for both. With neither the
+	// tracer stays nil and costs nothing at the instrumentation sites.
+	var sinks []io.Writer
+	if store != nil {
+		sinks = append(sinks, store.spans)
+	}
+	if opts.SpanSink != nil {
+		sinks = append(sinks, opts.SpanSink)
+	}
 	var tracer *tracez.Tracer
-	if opts.TraceSpans {
-		var sinks []tracez.Sink
-		if store != nil && store.spans != nil {
-			sinks = append(sinks, store.spans)
-		}
-		if opts.SpanSink != nil {
-			sinks = append(sinks, opts.SpanSink)
-		}
-		switch len(sinks) {
-		case 0:
-			// Tracing on but nowhere to deliver: leave the tracer nil.
-		case 1:
-			tracer = tracez.New(sinks[0], tracez.Options{})
-		default:
-			tracer = tracez.New(tracez.Tee(sinks...), tracez.Options{})
-		}
+	if len(sinks) > 0 {
+		tracer = tracez.New(io.MultiWriter(sinks...))
 	}
 
 	start := time.Now()
@@ -312,9 +301,6 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 		if opts.OnProgress != nil {
 			opts.OnProgress(prog)
 		}
-		if store != nil {
-			store.jobFinished(r)
-		}
 	}
 
 	// The campaign span roots the trace; job spans parent under it via
@@ -345,9 +331,6 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 					opts.OnJobStart(i)
 				}
 				mu.Unlock()
-				if store != nil {
-					store.jobStarted(i, c.Jobs[i])
-				}
 				if states == nil {
 					states = make(map[string]any)
 				}
@@ -411,24 +394,16 @@ feed:
 
 // runJob executes one job with panic isolation: a panicking kind
 // function marks its own job failed instead of killing the campaign.
-// It also owns the job's observability: a job span (child of the
-// campaign span when tracing is on, nothing otherwise) with cache
-// probe / store write children, and the resource-attribution probe
-// whose block rides the job's terminal timeline event.
+// It also owns the job's observability: the resource-attribution
+// probe, and the job span (a child of the campaign span when the
+// campaign records spans) that carries the outcome.
 func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, states map[string]any, opts Options) (res JobResult) {
 	spec := c.Jobs[i]
 	res = JobResult{Index: i, Kind: spec.Kind, Name: spec.Name, Seed: JobSeed(c.Seed, i)}
-	tr := tracez.FromContext(ctx)
-	ctx, span := tr.Start(ctx, "job")
-	span.SetInt("job", int64(i))
-	span.SetStr("kind", spec.Kind)
-	if spec.Name != "" {
-		span.SetStr("name", spec.Name)
-	}
-	span.SetUint("seed", res.Seed)
-	span.SetInt("worker", int64(worker))
+	ctx, span := startJobSpan(ctx, i, worker, spec, res.Seed)
 	probe := startResourceProbe()
 	jobStart := time.Now()
+	stored := 0
 	defer func() {
 		res.Duration = time.Since(jobStart)
 		if p := recover(); p != nil {
@@ -436,17 +411,13 @@ func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, state
 			res.Output = nil
 			res.Error = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
 		}
-		r := probe.stop(res.Duration)
+		r := probe.stop()
 		r.CacheHit = res.Cached
-		if rc, ok := res.Output.(obs.ResourceCounter); ok {
+		if rc, ok := res.Output.(ResourceCounter); ok {
 			r.Transitions, r.Writebacks = rc.ResourceCounts()
 		}
 		res.Resources = r
-		span.SetStr("status", string(res.Status))
-		if res.Cached {
-			span.SetBool("cached", true)
-		}
-		span.End()
+		endJobSpan(span, &res, stored)
 	}()
 	if ctx.Err() != nil {
 		return cancelledResult(c, i)
@@ -476,13 +447,9 @@ func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, state
 		key, err := resultstore.Key(spec.Kind, spec.Params, effectiveSeed(info, spec.Params, res.Seed), opts.CodeVersion)
 		if err == nil {
 			cacheKey = key
-			psp := span.Child("cache.probe")
 			data, ok, _ := opts.Cache.Get(key)
 			if ok {
 				if out, derr := info.DecodeOutput(data); derr == nil {
-					psp.SetBool("hit", true)
-					psp.SetInt("bytes", int64(len(data)))
-					psp.End()
 					res.Status = StatusDone
 					res.Output = out
 					res.Cached = true
@@ -491,8 +458,6 @@ func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, state
 				// An undecodable entry (e.g. written by an incompatible
 				// build despite the version key) falls through to compute.
 			}
-			psp.SetBool("hit", false)
-			psp.End()
 			probe.cacheMiss = true
 		}
 	}
@@ -514,13 +479,62 @@ func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, state
 		// Best effort: a Put failure leaves the result intact and the
 		// cell recomputable next time.
 		if data, err := json.Marshal(out); err == nil {
-			wsp := span.Child("store.write")
-			wsp.SetInt("bytes", int64(len(data)))
-			_ = opts.Cache.Put(cacheKey, data)
-			wsp.End()
+			if opts.Cache.Put(cacheKey, data) == nil {
+				stored = len(data)
+			}
 		}
 	}
 	return res
+}
+
+// startJobSpan opens job i's span under ctx's current span, the
+// campaign's; without a tracer it returns ctx and a nil span.
+func startJobSpan(ctx context.Context, i, worker int, spec Spec, seed uint64) (context.Context, *tracez.Span) {
+	ctx, sp := tracez.FromContext(ctx).Start(ctx, "job")
+	sp.SetInt("job", int64(i))
+	sp.SetStr("kind", spec.Kind)
+	if spec.Name != "" {
+		sp.SetStr("name", spec.Name)
+	}
+	sp.SetUint("seed", seed)
+	sp.SetInt("worker", int64(worker))
+	return ctx, sp
+}
+
+// endJobSpan records a finished job on its span and ends it: the
+// terminal status and error, the resource block (the span's duration
+// is the wall time), the result-cache outcome ("hit" or "miss", absent
+// when the store was not consulted) and the bytes the job stored
+// there. These attributes are the whole record of the job's wall-clock
+// life; report.CellsFromSpans reads them back.
+func endJobSpan(sp *tracez.Span, r *JobResult, stored int) {
+	if sp == nil {
+		return
+	}
+	sp.SetStr("status", string(r.Status))
+	if r.Error != "" {
+		sp.SetStr("error", r.Error)
+	}
+	res := r.Resources
+	sp.SetFloat("cpu_ms", res.CPUMS)
+	sp.SetUint("allocs", res.Allocs)
+	sp.SetUint("alloc_bytes", res.AllocBytes)
+	switch {
+	case res.CacheHit:
+		sp.SetStr("cache", "hit")
+	case res.CacheMiss:
+		sp.SetStr("cache", "miss")
+	}
+	if stored > 0 {
+		sp.SetInt("stored_bytes", int64(stored))
+	}
+	if res.Transitions > 0 {
+		sp.SetInt("transitions", int64(res.Transitions))
+	}
+	if res.Writebacks > 0 {
+		sp.SetUint("writebacks", res.Writebacks)
+	}
+	sp.End()
 }
 
 // effectiveSeed resolves the seed component of a cell's cache key,

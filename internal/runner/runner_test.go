@@ -276,8 +276,16 @@ func TestArtifactLayout(t *testing.T) {
 			t.Fatalf("line %d seed %d != derived %d", i, rec.Seed, JobSeed(42, i))
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "summary.json")); err != nil {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), "ledger.jsonl manifest.json results.jsonl spans.jsonl summary.json"; got != want {
+		t.Fatalf("run directory holds %s, want %s", got, want)
 	}
 }
 

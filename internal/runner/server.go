@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/tracez"
 )
 
 // Server turns the campaign runner into an HTTP job service — the
@@ -25,7 +24,7 @@ import (
 //	GET    /campaigns               list campaigns
 //	GET    /campaigns/{id}          status, progress and ETA
 //	GET    /campaigns/{id}/results  JSONL stream of completed records
-//	GET    /campaigns/{id}/events   NDJSON stream of job lifecycle events
+//	GET    /campaigns/{id}/spans    NDJSON stream of the campaign's spans
 //	DELETE /campaigns/{id}          cancel a running campaign
 //	GET    /metrics                 Prometheus text exposition
 //	GET    /healthz                 liveness probe
@@ -56,9 +55,6 @@ type Server struct {
 	// compute each cell once.
 	cache       ResultCache
 	codeVersion string
-	// traceSpans enables per-campaign span tracing: spans.jsonl in the
-	// run directory plus the live GET /campaigns/{id}/spans stream.
-	traceSpans bool
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -94,10 +90,6 @@ type ServerOptions struct {
 	// CodeVersion is the build identity recorded in run ledgers and
 	// mixed into cache keys; see Options.CodeVersion.
 	CodeVersion string
-	// TraceSpans enables span tracing for every campaign (see
-	// Options.TraceSpans): run directories gain spans.jsonl and
-	// GET /campaigns/{id}/spans streams the live span tree.
-	TraceSpans bool
 }
 
 // serverMetrics wires the server's obs.Registry families. Counters are
@@ -197,32 +189,30 @@ type campaignState struct {
 	results  []*JobResult // indexed by job, nil until complete
 	started  time.Time
 	finished time.Time
-	// events is the append-only job lifecycle log streamed by
-	// GET /campaigns/{id}/events. The campaign_finished event is appended
-	// in the same critical section that sets the terminal state, so a
-	// reader observing a terminal state under mu sees the complete log.
-	events []obs.JobEvent
-	// spans is the append-only span log streamed by
-	// GET /campaigns/{id}/spans (TraceSpans servers only). Every span
-	// is recorded before Run returns, hence before the terminal state
-	// is set, so a reader observing a terminal state sees them all.
-	spans []tracez.Span
-	// syncer flushes the campaign's artifact sidecars; non-nil only
-	// while the campaign runs with an artifact directory.
+	// spans is the append-only NDJSON span log streamed by
+	// GET /campaigns/{id}/spans: the lines the run's spans.jsonl gets
+	// and, with a run directory, the ledger.append span written after
+	// that file is sealed. Every span is written before Run returns,
+	// hence before the terminal state is set, so a reader observing a
+	// terminal state under mu sees them all.
+	spans []byte
+	// wake is closed, and replaced, on each span append; the final one
+	// is closed when the campaign reaches its terminal state.
+	wake chan struct{}
+	// syncer flushes the campaign's span sidecar; non-nil only while
+	// the campaign runs with an artifact directory.
 	syncer ArtifactSyncer
 }
 
-// addEvent appends one lifecycle event, stamping its campaign-relative
-// offset.
-func (cs *campaignState) addEvent(ev obs.JobEvent) {
+// Write appends one span line to the campaign's log and wakes its
+// /spans readers: the campaign's live span sink (Options.SpanSink).
+func (cs *campaignState) Write(line []byte) (int, error) {
 	cs.mu.Lock()
-	cs.appendEventLocked(ev)
+	cs.spans = append(cs.spans, line...)
+	close(cs.wake)
+	cs.wake = make(chan struct{})
 	cs.mu.Unlock()
-}
-
-func (cs *campaignState) appendEventLocked(ev obs.JobEvent) {
-	ev.ElapsedMS = float64(time.Since(cs.started).Microseconds()) / 1e3
-	cs.events = append(cs.events, ev)
+	return len(line), nil
 }
 
 // NewServer returns a server executing campaigns against reg. expand
@@ -250,7 +240,6 @@ func NewServer(reg *Registry, expand func(body []byte) (Campaign, int, error), o
 		expand:         expand,
 		cache:          opts.Cache,
 		codeVersion:    opts.CodeVersion,
-		traceSpans:     opts.TraceSpans,
 		baseCtx:        ctx,
 		stop:           cancel,
 		log:            log,
@@ -264,9 +253,9 @@ func NewServer(reg *Registry, expand func(body []byte) (Campaign, int, error), o
 // anything: the serve loop calls it when a shutdown signal arrives, so
 // orchestrators stop routing traffic while in-flight requests and the
 // HTTP listener's graceful shutdown complete. It also flushes and
-// fsyncs every running campaign's artifact sidecars (timeline.jsonl,
-// spans.jsonl), so a kill after the grace period never truncates them
-// mid-line. Close still does the actual teardown.
+// fsyncs every running campaign's spans.jsonl, so a kill after the
+// grace period never truncates it mid-line. Close still does the
+// actual teardown.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -308,7 +297,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /campaigns", s.handleList)
 	mux.HandleFunc("GET /campaigns/{id}", s.handleStatus)
 	mux.HandleFunc("GET /campaigns/{id}/results", s.handleResults)
-	mux.HandleFunc("GET /campaigns/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /campaigns/{id}/spans", s.handleSpans)
 	mux.HandleFunc("DELETE /campaigns/{id}", s.handleCancel)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -385,6 +373,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		progress: Progress{Total: len(camp.Jobs)},
 		results:  make([]*JobResult, len(camp.Jobs)),
 		started:  time.Now(),
+		wake:     make(chan struct{}),
 	}
 
 	s.mu.Lock()
@@ -415,7 +404,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) execute(ctx context.Context, cs *campaignState) {
 	defer s.wg.Done()
 	defer cs.cancel()
-	cs.addEvent(obs.JobEvent{Type: obs.EventCampaignStarted, Campaign: cs.campaign.Name, Index: -1})
 	// Resolve the per-kind metric series once up front: With takes the
 	// family lock, so calling it per job result would contend with the
 	// scrape path on large campaigns.
@@ -434,16 +422,10 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 			cs.progress = p
 			cs.mu.Unlock()
 		},
-		OnJobStart: func(i int) {
-			spec := cs.campaign.Jobs[i]
-			cs.addEvent(obs.JobEvent{Type: obs.EventJobStarted, Index: i,
-				Kind: spec.Kind, Name: spec.Name})
-		},
 		OnResult: func(r JobResult) {
 			cs.mu.Lock()
 			cs.results[r.Index] = &r
 			cs.mu.Unlock()
-			typ := obs.EventJobDone
 			switch r.Status {
 			case StatusDone:
 				s.metrics.jobsDone.Inc()
@@ -456,19 +438,12 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 				}
 				durationByKind[r.Kind].Observe(r.Duration.Seconds())
 			case StatusFailed:
-				typ = obs.EventJobFailed
 				s.metrics.jobsFailed.Inc()
 				errorsByKind[r.Kind].Inc()
 				durationByKind[r.Kind].Observe(r.Duration.Seconds())
-			case StatusCancelled:
-				typ = obs.EventJobCancelled
 			}
-			cs.addEvent(obs.JobEvent{Type: typ, Index: r.Index, Kind: r.Kind,
-				Name: r.Name, Error: r.Error,
-				DurationMS: float64(r.Duration.Microseconds()) / 1e3,
-				Cached:     r.Cached,
-				Resources:  r.Resources})
 		},
+		SpanSink:    cs,
 		Cache:       s.cache,
 		CodeVersion: s.codeVersion,
 	}
@@ -479,14 +454,6 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 			cs.syncer = a
 			cs.mu.Unlock()
 		}
-	}
-	if s.traceSpans {
-		opts.TraceSpans = true
-		opts.SpanSink = tracez.SinkFunc(func(sp *tracez.Span) {
-			cs.mu.Lock()
-			cs.spans = append(cs.spans, *sp)
-			cs.mu.Unlock()
-		})
 	}
 	res, err := Run(ctx, s.reg, cs.campaign, opts)
 
@@ -511,8 +478,7 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 	default:
 		cs.state = "done"
 	}
-	cs.appendEventLocked(obs.JobEvent{Type: obs.EventCampaignFinished,
-		Campaign: cs.campaign.Name, Index: -1, State: cs.state})
+	close(cs.wake)
 	state := cs.state
 	elapsed := cs.finished.Sub(cs.started)
 	cs.mu.Unlock()
@@ -621,54 +587,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents streams the campaign's job lifecycle events as NDJSON,
-// following the live campaign (15 ms polling) until it reaches a
-// terminal state or the client disconnects. The campaign_finished event
-// is always the last line for a completed campaign.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	cs := s.lookup(r.PathValue("id"))
-	if cs == nil {
-		httpError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	sent := 0
-	for {
-		cs.mu.Lock()
-		batch := append([]obs.JobEvent(nil), cs.events[sent:]...)
-		terminal := cs.state != "running"
-		cs.mu.Unlock()
-		for i := range batch {
-			if err := enc.Encode(&batch[i]); err != nil {
-				s.log.Warn("encode event stream", "campaign", cs.id, "err", err)
-				return
-			}
-			sent++
-		}
-		if len(batch) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			// The finished event is appended under the same lock that set
-			// the terminal state, so the batch above was complete.
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(15 * time.Millisecond):
-		}
-	}
-}
-
-// handleSpans streams the campaign's spans as NDJSON (tracez.Span wire
-// format), following the live campaign like handleEvents until it
-// reaches a terminal state or the client disconnects. Every span is
-// recorded before the terminal state is set, so the final batch is
-// complete. On a server without TraceSpans the stream is empty and
-// closes as soon as the campaign finishes.
+// handleSpans streams the campaign's spans as NDJSON, the lines of its
+// spans.jsonl, and follows a running campaign: it writes what was
+// appended each time the campaign's wake channel closes, and ends once
+// the campaign is terminal (its last spans written) or the client
+// disconnects.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	cs := s.lookup(r.PathValue("id"))
 	if cs == nil {
@@ -676,23 +599,29 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	sent := 0
-	for {
+	if flusher != nil {
+		// Send the headers now: a campaign may run a while before its
+		// first span ends.
+		flusher.Flush()
+	}
+	for sent := 0; ; {
 		cs.mu.Lock()
-		batch := append([]tracez.Span(nil), cs.spans[sent:]...)
+		// The log is append-only: bytes below its length never change,
+		// so the batch may be written after the lock is released.
+		batch := cs.spans[sent:]
+		wake := cs.wake
 		terminal := cs.state != "running"
 		cs.mu.Unlock()
-		for i := range batch {
-			if err := enc.Encode(&batch[i]); err != nil {
-				s.log.Warn("encode span stream", "campaign", cs.id, "err", err)
+		if len(batch) > 0 {
+			if _, err := w.Write(batch); err != nil {
+				s.log.Warn("write span stream", "campaign", cs.id, "err", err)
 				return
 			}
-			sent++
-		}
-		if len(batch) > 0 && flusher != nil {
-			flusher.Flush()
+			if flusher != nil {
+				flusher.Flush()
+			}
+			sent += len(batch)
 		}
 		if terminal {
 			return
@@ -700,7 +629,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(15 * time.Millisecond):
+		case <-wake:
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package runner
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -100,69 +98,6 @@ func TestMetricsCountFailures(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestServerEventsStream reads the NDJSON lifecycle stream of a
-// campaign: it must open with campaign_started, contain a started and a
-// terminal event per job, and close with campaign_finished.
-func TestServerEventsStream(t *testing.T) {
-	_, ts := newTestServer(t)
-	id := submit(t, ts, `{"version":1,"name":"ev","seed":3,"campaign":{"jobs":[{"kind":"square","params":{"x":1}},{"kind":"square","params":{"x":2}}]}}`)
-
-	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("events content type %q", ct)
-	}
-	var events []obs.JobEvent
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var ev obs.JobEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("event line %d: %v", len(events)+1, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 2 {
-		t.Fatalf("stream delivered %d events", len(events))
-	}
-	if events[0].Type != obs.EventCampaignStarted {
-		t.Fatalf("first event %+v", events[0])
-	}
-	last := events[len(events)-1]
-	if last.Type != obs.EventCampaignFinished || last.State != "done" {
-		t.Fatalf("last event %+v", last)
-	}
-	started, done := 0, 0
-	for _, ev := range events {
-		switch ev.Type {
-		case obs.EventJobStarted:
-			started++
-		case obs.EventJobDone:
-			done++
-			if ev.DurationMS < 0 {
-				t.Errorf("negative job duration: %+v", ev)
-			}
-		}
-	}
-	if started != 2 || done != 2 {
-		t.Fatalf("started=%d done=%d, want 2/2", started, done)
-	}
-	// 404 for unknown campaigns.
-	resp2, err := http.Get(ts.URL + "/campaigns/c999999/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown campaign events status %d", resp2.StatusCode)
 	}
 }
 

@@ -2,8 +2,10 @@ package runner
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -42,15 +44,12 @@ func readSpanStream(t *testing.T, ts *httptest.Server, id string) []tracez.Span 
 	return spans
 }
 
-// TestServerSpansStreamConcurrent runs a traced campaign with several
-// concurrent /spans and /events readers (exercised under -race by the
-// test suite). Every reader must see a complete, well-formed stream:
-// one campaign span plus a job span per job, and an event stream that
-// terminates with campaign_finished.
+// TestServerSpansStreamConcurrent runs a campaign with several
+// concurrent /spans readers (exercised under -race by the test suite).
+// Every reader must see a complete, well-formed stream: one campaign
+// span plus a job span per job carrying its status and resource block.
 func TestServerSpansStreamConcurrent(t *testing.T) {
-	srv := NewServer(serverRegistry(t), fixtureExpand, ServerOptions{DefaultWorkers: 4, TraceSpans: true})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	_, ts := newTestServer(t)
 
 	const jobs = 6
 	var specs []string
@@ -61,65 +60,27 @@ func TestServerSpansStreamConcurrent(t *testing.T) {
 
 	const readers = 3
 	spanStreams := make([][]tracez.Span, readers)
-	eventStreams := make([][]obs.JobEvent, readers)
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
-		wg.Add(2)
+		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			spanStreams[r] = readSpanStream(t, ts, id)
-		}(r)
-		go func(r int) {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/campaigns/" + id + "/events")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			sc := bufio.NewScanner(resp.Body)
-			for sc.Scan() {
-				var ev obs.JobEvent
-				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-					t.Errorf("event line: %v", err)
-					return
-				}
-				eventStreams[r] = append(eventStreams[r], ev)
-			}
 		}(r)
 	}
 	wg.Wait()
 
 	for r, spans := range spanStreams {
-		var campaigns, jobSpans int
-		for _, sp := range spans {
-			switch sp.Name {
-			case "campaign":
-				campaigns++
-			case "job":
-				jobSpans++
+		camp, jobSpans, attrs := campaignAndJobs(t, spans)
+		if camp.Parent != "" || len(attrs) != jobs {
+			t.Errorf("reader %d: campaign span %+v, %d job spans (want %d)", r, camp, len(attrs), jobs)
+		}
+		for i, a := range attrs {
+			raw := string(jobSpans[i].Attrs)
+			if a.Status != string(StatusDone) || a.Kind != "square" ||
+				!strings.Contains(raw, `"cpu_ms":`) || !strings.Contains(raw, `"alloc_bytes":`) {
+				t.Errorf("reader %d: job %d attrs %s", r, i, raw)
 			}
-		}
-		if campaigns != 1 || jobSpans != jobs {
-			t.Errorf("reader %d: %d campaign spans, %d job spans (want 1, %d)", r, campaigns, jobSpans, jobs)
-		}
-	}
-	for r, events := range eventStreams {
-		if len(events) == 0 {
-			t.Fatalf("reader %d saw no events", r)
-		}
-		last := events[len(events)-1]
-		if last.Type != obs.EventCampaignFinished {
-			t.Errorf("reader %d last event %+v", r, last)
-		}
-		var withResources int
-		for _, ev := range events {
-			if ev.Type == obs.EventJobDone && ev.Resources != nil {
-				withResources++
-			}
-		}
-		if withResources != jobs {
-			t.Errorf("reader %d: %d terminal events carry resources, want %d", r, withResources, jobs)
 		}
 	}
 
@@ -141,35 +102,106 @@ func TestServerSpansStreamConcurrent(t *testing.T) {
 	}
 }
 
-// TestServerSpansDisabled checks the stream contract on a server
-// without tracing: the endpoint exists, delivers nothing, and closes
-// when the campaign finishes; unknown campaigns 404.
-func TestServerSpansDisabled(t *testing.T) {
-	_, ts := newTestServer(t)
-	id := submit(t, ts, `{"version":1,"name":"plain","campaign":{"jobs":[{"kind":"square","params":{"x":2}}]}}`)
-	waitForState(t, ts, id, "done")
-	if spans := readSpanStream(t, ts, id); len(spans) != 0 {
-		t.Fatalf("untraced server streamed %d spans", len(spans))
-	}
-	resp, err := http.Get(ts.URL + "/campaigns/c999999/spans")
+// TestServerSpansStreamPushes checks /spans is pushed, not polled: a
+// reader receives job 0's span while job 1 is still blocked on a
+// channel only the test can release, and the response ends once the
+// campaign is terminal. Unknown campaigns 404.
+func TestServerSpansStreamPushes(t *testing.T) {
+	release := make(chan struct{})
+	reg := serverRegistry(t)
+	reg.MustRegister("gate", func(ctx context.Context, _ uint64, _ json.RawMessage) (any, error) {
+		select {
+		case <-release:
+			return "released", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	srv := NewServer(reg, fixtureExpand, ServerOptions{DefaultWorkers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	id := submit(t, ts, `{"version":1,"name":"push","seed":2,"campaign":{"jobs":[
+		{"kind":"square","params":{"x":3}},{"kind":"gate"}]}}`)
+
+	// A stalled stream fails the test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/campaigns/"+id+"/spans", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown campaign spans status %d", resp.StatusCode)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	next := func() (tracez.Span, error) {
+		var sp tracez.Span
+		err := dec.Decode(&sp)
+		return sp, err
+	}
+	for {
+		sp, err := next()
+		if err != nil {
+			t.Fatalf("stream ended before job 0's span: %v", err)
+		}
+		if sp.Name != "job" {
+			continue
+		}
+		var a jobAttrs
+		decodeAttrs(t, sp, &a)
+		if a.Job != 0 || a.Status != string(StatusDone) {
+			t.Fatalf("first job span %+v while job 1 is blocked", a)
+		}
+		break
+	}
+
+	close(release)
+	var job1, campaign bool
+	for {
+		sp, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("stream after release: %v", err)
+		}
+		switch sp.Name {
+		case "job":
+			var a jobAttrs
+			decodeAttrs(t, sp, &a)
+			job1 = a.Job == 1 && a.Status == string(StatusDone)
+		case "campaign":
+			campaign = true
+		}
+	}
+	if !job1 || !campaign {
+		t.Fatalf("stream ended without job 1's span (%v) or the campaign span (%v)", job1, campaign)
+	}
+	if v := getStatus(t, ts, id); v.State != "done" {
+		t.Fatalf("stream ended with the campaign %s", v.State)
+	}
+
+	resp2, err := http.Get(ts.URL + "/campaigns/c999999/spans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown campaign spans status %d", resp2.StatusCode)
 	}
 }
 
 // TestBeginDrainFlushesArtifacts submits a campaign that blocks
-// mid-run, calls BeginDrain, and checks the run directory's timeline
-// and span sidecars were fsynced with only whole JSON lines — the
-// shutdown contract: whatever has happened so far is on disk before
-// the process exits.
+// mid-run, calls BeginDrain, and checks the run directory's
+// spans.jsonl was fsynced with only whole JSON lines — the shutdown
+// contract: whatever has happened so far is on disk before the process
+// exits.
 func TestBeginDrainFlushesArtifacts(t *testing.T) {
 	root := t.TempDir()
 	srv := NewServer(serverRegistry(t), fixtureExpand, ServerOptions{
-		DefaultWorkers: 2, ArtifactRoot: root, TraceSpans: true,
+		DefaultWorkers: 2, ArtifactRoot: root,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
@@ -182,32 +214,23 @@ func TestBeginDrainFlushesArtifacts(t *testing.T) {
 
 	srv.BeginDrain()
 
-	dir := filepath.Join(root, id)
-	events, err := obs.ReadJobTimeline(filepath.Join(dir, "timeline.jsonl"))
+	spans, err := tracez.ReadFile(filepath.Join(root, id, tracez.FileName))
 	if err != nil {
-		t.Fatalf("timeline after drain: %v", err)
+		t.Fatalf("spans after drain: %v", err)
 	}
 	var done int
-	for _, ev := range events {
-		if ev.Type == obs.EventJobDone {
+	for _, sp := range spans {
+		if sp.Name != "job" {
+			continue
+		}
+		var a jobAttrs
+		decodeAttrs(t, sp, &a)
+		if a.Status == string(StatusDone) {
 			done++
 		}
 	}
 	if done < 2 {
-		t.Fatalf("drained timeline shows %d done jobs, want >= 2", done)
-	}
-	spans, err := tracez.ReadFile(filepath.Join(dir, tracez.FileName))
-	if err != nil {
-		t.Fatalf("spans after drain: %v", err)
-	}
-	var jobSpans int
-	for _, sp := range spans {
-		if sp.Name == "job" {
-			jobSpans++
-		}
-	}
-	if jobSpans < 2 {
-		t.Fatalf("drained spans show %d job spans, want >= 2", jobSpans)
+		t.Fatalf("drained spans show %d done jobs, want >= 2", done)
 	}
 }
 

@@ -1,42 +1,78 @@
 package runner
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 )
 
-func readTimeline(t *testing.T, dir string) []obs.JobEvent {
-	t.Helper()
-	f, err := os.Open(filepath.Join(dir, "timeline.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var out []obs.JobEvent
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var ev obs.JobEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("timeline line %d: %v", len(out)+1, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
+// jobAttrs is a job span's attribute set, as endJobSpan writes it.
+type jobAttrs struct {
+	Job         int     `json:"job"`
+	Kind        string  `json:"kind"`
+	Name        string  `json:"name"`
+	Seed        uint64  `json:"seed"`
+	Worker      int     `json:"worker"`
+	Status      string  `json:"status"`
+	Error       string  `json:"error"`
+	CPUMS       float64 `json:"cpu_ms"`
+	Allocs      uint64  `json:"allocs"`
+	AllocBytes  uint64  `json:"alloc_bytes"`
+	Cache       string  `json:"cache"`
+	StoredBytes int     `json:"stored_bytes"`
+	Transitions int     `json:"transitions"`
+	Writebacks  uint64  `json:"writebacks"`
 }
 
-// TestTimelineArtifact checks timeline.jsonl brackets the campaign with
-// start/finish events and records a started + terminal event per job.
+// decodeAttrs decodes a span's attribute object into v.
+func decodeAttrs(t *testing.T, sp tracez.Span, v any) {
+	t.Helper()
+	if err := json.Unmarshal(sp.Attrs, v); err != nil {
+		t.Fatalf("span %s %s attrs %s: %v", sp.ID, sp.Name, sp.Attrs, err)
+	}
+}
+
+// campaignAndJobs splits a run's spans into its one campaign span and
+// its job spans keyed by job index, failing on a missing campaign span
+// or a duplicate of either.
+func campaignAndJobs(t *testing.T, spans []tracez.Span) (tracez.Span, map[int]tracez.Span, map[int]jobAttrs) {
+	t.Helper()
+	var camp *tracez.Span
+	jobs := make(map[int]tracez.Span)
+	attrs := make(map[int]jobAttrs)
+	for i, sp := range spans {
+		if sp.Trace == "" || sp.ID == "" {
+			t.Fatalf("span %d missing identity: %+v", i, sp)
+		}
+		switch sp.Name {
+		case "campaign":
+			if camp != nil {
+				t.Fatal("more than one campaign span")
+			}
+			camp = &spans[i]
+		case "job":
+			var a jobAttrs
+			decodeAttrs(t, sp, &a)
+			if _, dup := jobs[a.Job]; dup {
+				t.Fatalf("duplicate job span for index %d", a.Job)
+			}
+			jobs[a.Job], attrs[a.Job] = sp, a
+		}
+	}
+	if camp == nil {
+		t.Fatal("no campaign span recorded")
+	}
+	return *camp, jobs, attrs
+}
+
+// TestTimelineArtifact checks spans.jsonl is the run's job timeline: a
+// campaign span with the terminal counts, and one job span per job
+// inside it in time, carrying the job's identity and terminal status.
 func TestTimelineArtifact(t *testing.T) {
 	reg := testRegistry(t)
 	dir := filepath.Join(t.TempDir(), "run")
@@ -45,43 +81,43 @@ func TestTimelineArtifact(t *testing.T) {
 	if _, err := Run(context.Background(), reg, c, Options{Workers: 3, ArtifactDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	evs := readTimeline(t, dir)
-	if len(evs) < 2 {
-		t.Fatalf("timeline has %d events", len(evs))
+	spans, err := tracez.ReadFile(filepath.Join(dir, tracez.FileName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if evs[0].Type != obs.EventCampaignStarted || evs[0].Campaign != "det" || evs[0].Index != -1 {
-		t.Fatalf("first event %+v", evs[0])
+	camp, jobs, attrs := campaignAndJobs(t, spans)
+	var ca struct {
+		Campaign     string `json:"campaign"`
+		Jobs         int    `json:"jobs"`
+		Done, Failed int
 	}
-	last := evs[len(evs)-1]
-	if last.Type != obs.EventCampaignFinished || last.State != "failed" {
-		t.Fatalf("last event %+v", last)
+	decodeAttrs(t, camp, &ca)
+	if camp.Parent != "" || ca.Campaign != "det" || ca.Jobs != 6 || ca.Done != 5 || ca.Failed != 1 {
+		t.Fatalf("campaign span %+v, attrs %+v", camp, ca)
 	}
-	started := map[int]bool{}
-	terminal := map[int]obs.JobEventType{}
-	prevElapsed := -1.0
-	for _, ev := range evs {
-		if ev.ElapsedMS < prevElapsed {
-			t.Fatalf("elapsed offsets not monotone: %g after %g", ev.ElapsedMS, prevElapsed)
-		}
-		prevElapsed = ev.ElapsedMS
-		switch ev.Type {
-		case obs.EventJobStarted:
-			started[ev.Index] = true
-		case obs.EventJobDone, obs.EventJobFailed, obs.EventJobCancelled:
-			terminal[ev.Index] = ev.Type
-		}
-	}
+	campEnd := camp.StartUnixNS + camp.DurNS
 	for i := 0; i < 6; i++ {
-		if !started[i] {
-			t.Errorf("job %d has no started event", i)
+		sp, ok := jobs[i]
+		if !ok {
+			t.Fatalf("job %d has no span", i)
 		}
-		want := obs.EventJobDone
+		a := attrs[i]
+		want := string(StatusDone)
 		if i == 2 {
-			want = obs.EventJobFailed
+			want = string(StatusFailed)
+			if a.Error != "deliberate failure" {
+				t.Errorf("failed job's error attr %q", a.Error)
+			}
 		}
-		if terminal[i] != want {
-			t.Errorf("job %d terminal event %q, want %q", i, terminal[i], want)
+		if a.Status != want || a.Kind != c.Jobs[i].Kind || a.Name != c.Jobs[i].Name || a.Seed != JobSeed(c.Seed, i) {
+			t.Errorf("job %d attrs %+v, want status %s", i, a, want)
 		}
+		if sp.Parent != camp.ID || sp.StartUnixNS < camp.StartUnixNS || sp.StartUnixNS+sp.DurNS > campEnd {
+			t.Errorf("job %d span %+v not inside campaign span %+v", i, sp, camp)
+		}
+	}
+	if len(jobs) != 6 {
+		t.Fatalf("%d job spans, want 6", len(jobs))
 	}
 }
 

@@ -39,10 +39,14 @@ check_due_inlined() {
 check_due_inlined cpusim 4
 check_due_inlined multicore 0
 
-# Tracing gates: the span API must cost nothing when tracing is off
-# (nil-tracer fast path), and a traced campaign must leave results.jsonl
-# byte-identical to an untraced one (DESIGN.md §11).
+# Tracing gates (DESIGN.md §11): the span API must cost nothing when a
+# campaign has nowhere to put spans (nil-tracer fast path); recording a
+# job span with its full attribute set to spans.jsonl must allocate at
+# most 4 times; and a campaign that records spans (8 workers, a run
+# directory) must write results.jsonl byte-identical to the records of
+# one that does not (1 worker, no directory, no sink).
 go test -count=1 -run 'TestTracingOffZeroAllocs' ./internal/obs/tracez
+go test -count=1 -run 'TestJobSpanAllocs' ./internal/runner
 go test -count=1 -run 'TestTracingDoesNotChangeResults' ./internal/runner
 
 # Arena/memo gates (DESIGN.md §13): analytical cells must stay at
