@@ -44,8 +44,8 @@ func main() {
 		Version:   version.String(),
 	}
 	app.Register(
-		simCommand(),
-		sweepCommand(),
+		simCommand(os.Stdout),
+		sweepCommand(os.Stdout),
 		multicoreCommand(),
 		analyticalCommand(os.Stdout),
 		bistCommand(),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpusim"
 	"repro/internal/expers"
-	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -26,21 +26,20 @@ import (
 // old pcs-report binary as a subcommand.
 //
 // -quick shrinks the simulation windows ~10x for a fast smoke run; the
-// full default takes tens of minutes. -timeline skips the full
-// reproduction and instead renders a policy timeline (a JSONL file
-// written by pcs sim -timeline or pcs sweep -timeline) as VDD-vs-time
-// tables. -perfetto RUNDIR converts a run's spans.jsonl to a Chrome
-// trace-event file loadable in Perfetto / chrome://tracing, and -top
-// RUNDIR renders the run's per-cell resource attribution from its job
-// spans (see DESIGN.md §11); both read a runs/<ts>/ directory and
-// exit. Tables and messages go to stdout, progress to stderr.
+// full default takes tens of minutes. Three flags read a runs/<ts>/
+// directory's spans.jsonl instead and exit (see DESIGN.md §11):
+// -timeline RUNDIR renders each DPCS cell's VDD trajectory and its
+// residency over the measured window from the policy's span instants,
+// -perfetto RUNDIR converts the spans to a Chrome trace-event file
+// loadable in Perfetto / chrome://tracing, and -top RUNDIR renders the
+// run's per-cell resource attribution from its job spans. Tables and
+// messages go to stdout, progress to stderr.
 func reportCommand(stdout io.Writer) *cli.Command {
 	var (
 		out      string
 		instr    uint64
 		quick    bool
-		timeline string
-		clockGHz float64
+		timeline bool
 		perfetto bool
 		top      bool
 		sortKey  string
@@ -49,30 +48,29 @@ func reportCommand(stdout io.Writer) *cli.Command {
 	return &cli.Command{
 		Name:    "report",
 		Summary: "run the full reproduction and write one Markdown report",
-		Usage:   "[-o report.md] [-instr N] [-quick] [-timeline file [-clock GHz]] [-perfetto RUNDIR] [-top RUNDIR [-sort key] [-n N]]",
+		Usage:   "[-o report.md] [-instr N] [-quick] [-timeline RUNDIR] [-perfetto RUNDIR] [-top RUNDIR [-sort key] [-n N]]",
 		SetFlags: func(fs *flag.FlagSet) {
 			fs.StringVar(&out, "o", "report.md", "output Markdown path (with -perfetto: trace output path, default RUNDIR/trace.json)")
 			fs.Uint64Var(&instr, "instr", 24_000_000, "measured instructions per simulation run")
 			fs.BoolVar(&quick, "quick", false, "use ~10x smaller simulation windows")
-			fs.StringVar(&timeline, "timeline", "", "render this policy timeline JSONL as VDD-vs-time tables and exit")
-			fs.Float64Var(&clockGHz, "clock", 2.0, "clock for -timeline cycle-to-time conversion (GHz; Config A = 2, B = 3)")
+			fs.BoolVar(&timeline, "timeline", false, "render RUNDIR's DPCS VDD trajectories and residencies and exit")
 			fs.BoolVar(&perfetto, "perfetto", false, "convert RUNDIR/spans.jsonl to a Chrome trace-event file and exit")
 			fs.BoolVar(&top, "top", false, "render RUNDIR's per-cell resource attribution tables and exit")
-			fs.StringVar(&sortKey, "sort", "cpu", "with -top: sort key (cpu, wall, allocs, energy)")
+			fs.StringVar(&sortKey, "sort", "cpu", "with -top: sort key (cpu, wall, energy)")
 			fs.IntVar(&topN, "n", 15, "with -top: rows in the top-cells table (0 = all)")
 		},
 		Run: func(fs *flag.FlagSet) error {
 			if quick {
 				instr = 2_000_000
 			}
-			if timeline != "" {
-				return renderSavedTimeline(stdout, timeline, clockGHz*1e9)
-			}
-			if perfetto || top {
+			if timeline || perfetto || top {
 				if fs.NArg() != 1 {
-					return fmt.Errorf("-perfetto/-top need exactly one run directory argument (got %d)", fs.NArg())
+					return fmt.Errorf("-timeline/-perfetto/-top need exactly one run directory argument (got %d)", fs.NArg())
 				}
 				dir := fs.Arg(0)
+				if timeline {
+					return renderTimeline(stdout, dir)
+				}
 				if perfetto {
 					dst := filepath.Join(dir, "trace.json")
 					if flagsSet(fs)["o"] {
@@ -114,8 +112,7 @@ func exportPerfetto(stdout io.Writer, dir, dst string) error {
 
 // renderTopCells renders a run directory's per-cell resource
 // attribution from its job spans: the top-N cells table plus per-kind
-// totals, joined with per-cell energy from results.jsonl where
-// available.
+// totals.
 func renderTopCells(stdout io.Writer, dir, sortKey string, n int) error {
 	spans, err := tracez.ReadFile(filepath.Join(dir, tracez.FileName))
 	if err != nil {
@@ -127,9 +124,6 @@ func renderTopCells(stdout io.Writer, dir, sortKey string, n int) error {
 	}
 	if len(cells) == 0 {
 		return fmt.Errorf("%s: %s has no job spans", dir, tracez.FileName)
-	}
-	if err := report.AttachEnergyFile(cells, filepath.Join(dir, "results.jsonl")); err != nil {
-		return err
 	}
 	if err := report.SortCells(cells, sortKey); err != nil {
 		return err
@@ -274,18 +268,25 @@ func writeReport(stdout io.Writer, out string, instr uint64) (err error) {
 	if !ok {
 		return fmt.Errorf("benchmark bzip2.s missing from suite")
 	}
-	col := &obs.Collector{}
-	trRun, err := cpusim.Run(cpusim.ConfigA(), core.DPCS, w, cpusim.RunOptions{
-		WarmupInstr: opts.WarmupInstr, SimInstr: minU(instr, 4_000_000), Seed: 1, Sink: col,
+	var spans bytes.Buffer
+	tr := tracez.New(&spans)
+	ctx, job := tr.Start(context.Background(), "job")
+	job.SetStr("name", "A/bzip2.s/DPCS")
+	_, err = cpusim.RunContext(ctx, cpusim.ConfigA(), core.DPCS, w, cpusim.RunOptions{
+		WarmupInstr: opts.WarmupInstr, SimInstr: minU(instr, 4_000_000), Seed: 1,
 	})
+	job.End()
 	if err != nil {
 		return err
 	}
-	if err := table(expers.VDDTrajectoryTable(col.Events, cpusim.ConfigA().ClockHz, 24)); err != nil {
+	ts, err := policyTables(&spans, 24)
+	if err != nil {
 		return err
 	}
-	if err := table(expers.VDDResidencyTable(col.Events, trRun.Cycles)); err != nil {
-		return err
+	for _, t := range ts {
+		if err := table(t); err != nil {
+			return err
+		}
 	}
 
 	fmt.Fprintf(f, "---\nTotal generation time: %s\n", time.Since(start).Round(time.Second))
@@ -293,30 +294,46 @@ func writeReport(stdout io.Writer, out string, instr uint64) (err error) {
 	return nil
 }
 
-// renderSavedTimeline re-renders a saved policy timeline as VDD-vs-time
-// tables on stdout.
-func renderSavedTimeline(stdout io.Writer, path string, clockHz float64) error {
-	events, err := obs.ReadPolicyTimeline(path)
+// renderTimeline renders the VDD trajectory and measured-window
+// residency of every DPCS cell recorded in a run directory's spans.
+func renderTimeline(stdout io.Writer, dir string) error {
+	f, err := os.Open(filepath.Join(dir, tracez.FileName))
 	if err != nil {
 		return err
 	}
-	// The run length is not recorded in the timeline; the last observed
-	// event cycle is the best lower bound for the residency replay.
-	var end uint64
-	for _, ev := range events {
-		if ev.Cycle > end {
-			end = ev.Cycle
-		}
+	defer f.Close()
+	ts, err := policyTables(f, 40)
+	if err != nil {
+		return fmt.Errorf("%s: %w", dir, err)
 	}
-	for _, t := range []*report.Table{
-		expers.VDDTrajectoryTable(events, clockHz, 40),
-		expers.VDDResidencyTable(events, end),
-	} {
+	if len(ts) == 0 {
+		return fmt.Errorf("%s: %s records no dpcs.decision instants (no DPCS cell ran)", dir, tracez.FileName)
+	}
+	for _, t := range ts {
 		if err := t.Render(stdout); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// policyTables reads a spans.jsonl stream and returns, for each job
+// whose policy made decisions, its VDD trajectory table (at most
+// maxRows transitions) and its residency table.
+func policyTables(r io.Reader, maxRows int) ([]*report.Table, error) {
+	spans, err := tracez.ReadSpans(r)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := expers.PolicyRuns(spans)
+	if err != nil {
+		return nil, err
+	}
+	var ts []*report.Table
+	for _, run := range runs {
+		ts = append(ts, expers.VDDTrajectoryTable(run, maxRows), expers.VDDResidencyTable(run))
+	}
+	return ts, nil
 }
 
 func minU(a, b uint64) uint64 {

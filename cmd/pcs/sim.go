@@ -12,10 +12,8 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/cpusim"
 	"repro/internal/expers"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -24,8 +22,10 @@ import (
 
 // simCommand is the Fig. 4 architectural simulation: the 16 SPEC-like
 // workloads under baseline, SPCS and DPCS for system Configs A and B —
-// the old pcs-sim binary as a subcommand.
-func simCommand() *cli.Command {
+// the old pcs-sim binary as a subcommand. -bench narrows the grid to
+// one workload and prints each cell's result lines instead of the
+// Fig. 4 tables. Results go to stdout, progress to stderr.
+func simCommand(stdout io.Writer) *cli.Command {
 	var (
 		spec     string
 		cfgSel   string
@@ -36,7 +36,6 @@ func simCommand() *cli.Command {
 		configs  bool
 		csv      bool
 		quiet    bool
-		timeline string
 		workers  int
 		runsRoot string
 		cacheDir string
@@ -56,15 +55,14 @@ func simCommand() *cli.Command {
 			fs.BoolVar(&configs, "configs", false, "print Tables 1-2 style configuration and exit")
 			fs.BoolVar(&csv, "csv", false, "emit CSV instead of aligned tables")
 			fs.BoolVar(&quiet, "q", false, "suppress per-run progress lines")
-			fs.StringVar(&timeline, "timeline", "", "with -bench: write the DPCS policy timeline to this JSONL file")
-			fs.IntVar(&workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations for the full grid (results are identical at any worker count)")
-			fs.StringVar(&runsRoot, "runs", "", "archive grid campaign records under this directory (e.g. runs)")
+			fs.IntVar(&workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations (results are identical at any worker count)")
+			fs.StringVar(&runsRoot, "runs", "", "archive grid campaign records (spans.jsonl records every DPCS decision) under this directory (e.g. runs)")
 			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes grid cells across runs)")
 			prof.register(fs)
 		},
 		Run: func(fs *flag.FlagSet) error {
 			if configs {
-				return printConfigs(os.Stdout)
+				return printConfigs(stdout)
 			}
 			stopProf, err := prof.start()
 			if err != nil {
@@ -111,16 +109,18 @@ func simCommand() *cli.Command {
 				cfgs = []cpusim.SystemConfig{cfg}
 			}
 			opts := cpusim.RunOptions{WarmupInstr: warmup, SimInstr: instr, Seed: seed}
+			workloads := trace.Suite()
+			if bench != "" {
+				w, ok := trace.ByName(bench)
+				if !ok {
+					return fmt.Errorf("unknown benchmark %q (known: %v)", bench, trace.Names())
+				}
+				workloads = []trace.Workload{w}
+			}
 
 			var progress io.Writer
 			if !quiet {
 				progress = os.Stderr
-			}
-			if timeline != "" && bench == "" {
-				return fmt.Errorf("-timeline needs -bench (it records one DPCS run)")
-			}
-			if runsRoot != "" && bench != "" {
-				return fmt.Errorf("-runs records the full grid; it cannot combine with -bench")
 			}
 			cache, err := openCache(cacheDir)
 			if err != nil {
@@ -129,15 +129,9 @@ func simCommand() *cli.Command {
 
 			var total expers.GridStats
 			for _, cfg := range cfgs {
-				if bench != "" {
-					if err := runSingle(cfg, bench, opts, timeline); err != nil {
-						return err
-					}
-					continue
-				}
 				if progress != nil {
 					fmt.Fprintf(progress, "config %s: %d benchmarks x 3 modes, %d instr each, %d workers\n",
-						cfg.Name, len(trace.Suite()), opts.SimInstr, workers)
+						cfg.Name, len(workloads), opts.SimInstr, workers)
 				}
 				gopts := expers.GridOptions{
 					Workers:     workers,
@@ -153,13 +147,21 @@ func simCommand() *cli.Command {
 					gopts.ArtifactDir = dir
 					fmt.Fprintf(os.Stderr, "pcs sim: config %s: recording campaign in %s\n", cfg.Name, dir)
 				}
-				data, stats, err := expers.Fig4Grid(context.Background(), cfg, opts, gopts)
+				data, stats, err := expers.Fig4GridWorkloads(context.Background(), cfg, workloads, opts, gopts)
 				total.Cells += stats.Cells
 				total.Cached += stats.Cached
 				total.Computed += stats.Computed
 				total.Failed += stats.Failed
 				if err != nil {
 					return err
+				}
+				if bench != "" {
+					for _, row := range data.Rows {
+						for _, r := range []cpusim.Result{row.Baseline, row.SPCS, row.DPCS} {
+							printCell(stdout, r)
+						}
+					}
+					continue
 				}
 				for _, t := range []*report.Table{
 					expers.Fig4PowerTable(data, "L1"),
@@ -168,17 +170,15 @@ func simCommand() *cli.Command {
 					expers.Fig4EnergyTable(data),
 					expers.SummaryTable(expers.Summarise(data)),
 				} {
-					if err := renderTable(os.Stdout, t, csv); err != nil {
+					if err := renderTable(stdout, t, csv); err != nil {
 						return err
 					}
 				}
 			}
-			if bench == "" {
-				// Summary goes to stderr: stdout carries only the tables,
-				// which golden files compare byte for byte.
-				fmt.Fprintf(os.Stderr, "pcs sim: %d cells: %d cached, %d computed, %d failed\n",
-					total.Cells, total.Cached, total.Computed, total.Failed)
-			}
+			// Summary goes to stderr: stdout carries only the results,
+			// which golden files compare byte for byte.
+			fmt.Fprintf(os.Stderr, "pcs sim: %d cells: %d cached, %d computed, %d failed\n",
+				total.Cells, total.Cached, total.Computed, total.Failed)
 			return nil
 		},
 	}
@@ -205,68 +205,16 @@ func renderTable(w io.Writer, t *report.Table, csv bool) error {
 	return t.Render(w)
 }
 
-func runSingle(cfg cpusim.SystemConfig, name string, opts cpusim.RunOptions, timeline string) error {
-	w, ok := trace.ByName(name)
-	if !ok {
-		return fmt.Errorf("unknown benchmark %q (known: %v)", name, trace.Names())
+// printCell writes one cell's result as a summary line and one line
+// per cache.
+func printCell(w io.Writer, r cpusim.Result) {
+	fmt.Fprintln(w, r)
+	for _, cr := range []cpusim.CacheResult{r.L1I, r.L1D, r.L2} {
+		fmt.Fprintf(w, "  %-6s acc=%-9d miss=%-8d mr=%.4f wb=%-7d trans=%d E(mJ): static=%.4f dyn=%.4f\n",
+			cr.Name, cr.Stats.Accesses, cr.Stats.Misses, cr.Stats.MissRate(),
+			cr.Stats.Writebacks, cr.Transitions,
+			cr.Energy.StaticJ*1e3, cr.Energy.DynamicJ*1e3)
 	}
-	for _, mode := range []core.Mode{core.Baseline, core.SPCS, core.DPCS} {
-		var col *obs.Collector
-		if timeline != "" && mode == core.DPCS {
-			col = &obs.Collector{}
-			opts.Sink = col
-		} else {
-			opts.Sink = nil
-		}
-		r, err := cpusim.Run(cfg, mode, w, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-		for _, cr := range []cpusim.CacheResult{r.L1I, r.L1D, r.L2} {
-			fmt.Printf("  %-6s acc=%-9d miss=%-8d mr=%.4f wb=%-7d trans=%d E(mJ): static=%.4f dyn=%.4f\n",
-				cr.Name, cr.Stats.Accesses, cr.Stats.Misses, cr.Stats.MissRate(),
-				cr.Stats.Writebacks, cr.Transitions,
-				cr.Energy.StaticJ*1e3, cr.Energy.DynamicJ*1e3)
-		}
-		if col != nil {
-			if err := writeTimeline(timeline, col.Events); err != nil {
-				return err
-			}
-			if err := renderTrajectory(col.Events, cfg.ClockHz, r.Cycles); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writeTimeline saves the collected policy events as JSON lines.
-func writeTimeline(path string, events []obs.PolicyEvent) error {
-	sink, err := obs.CreateJSONL(path)
-	if err != nil {
-		return err
-	}
-	for _, ev := range events {
-		sink.Record(ev)
-	}
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "pcs sim: wrote %d policy events to %s\n", len(events), path)
-	return nil
-}
-
-func renderTrajectory(events []obs.PolicyEvent, clockHz float64, endCycle uint64) error {
-	for _, t := range []*report.Table{
-		expers.VDDTrajectoryTable(events, clockHz, 32),
-		expers.VDDResidencyTable(events, endCycle),
-	} {
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func printConfigs(w io.Writer) error {

@@ -4,15 +4,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/expers"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/version"
@@ -22,8 +21,8 @@ import (
 // the old pcs-sweep binary as a subcommand. Studies always run in the
 // canonical order (assoc, levels, cells, leakage, dpcs, ablate, mechs)
 // whichever way they are selected, so output stays comparable across
-// invocations.
-func sweepCommand() *cli.Command {
+// invocations. Tables go to stdout, progress and summaries to stderr.
+func sweepCommand(stdout io.Writer) *cli.Command {
 	var (
 		spec     string
 		study    = make(map[string]*bool, len(expers.StudyNames()))
@@ -34,7 +33,6 @@ func sweepCommand() *cli.Command {
 		jsonOut  bool
 		runsRoot string
 		progress bool
-		timeline bool
 		cacheDir string
 		mechsCSV string
 		prof     profiler
@@ -66,7 +64,6 @@ func sweepCommand() *cli.Command {
 			fs.BoolVar(&jsonOut, "json", false, "emit tables as JSON instead of text")
 			fs.StringVar(&runsRoot, "runs", "", "archive campaign records under this directory (e.g. runs)")
 			fs.BoolVar(&progress, "progress", false, "log campaign progress to stderr")
-			fs.BoolVar(&timeline, "timeline", false, "with -runs: record per-job DPCS policy timelines (policy-<index>.jsonl)")
 			fs.StringVar(&cacheDir, "cache", "", "content-addressed result cache directory (memoizes study cells across runs)")
 			prof.register(fs)
 		},
@@ -119,20 +116,17 @@ func sweepCommand() *cli.Command {
 			if len(selected) == 0 {
 				selected = expers.StudyNames()
 			}
-			if timeline && runsRoot == "" {
-				return fmt.Errorf("-timeline needs -runs (per-job timelines live next to the campaign records)")
-			}
 			cache, err := openCache(cacheDir)
 			if err != nil {
 				return err
 			}
 			h := &sweepHarness{
 				reg:      expers.NewCampaignRegistry(),
+				stdout:   stdout,
 				workers:  workers,
 				jsonOut:  jsonOut,
 				runsRoot: runsRoot,
 				progress: progress,
-				timeline: timeline,
 				cache:    cache,
 			}
 			// Canonical order regardless of selection order.
@@ -181,11 +175,11 @@ func contains(xs []string, want string) bool {
 // and accumulates the cell accounting for the end-of-run summary.
 type sweepHarness struct {
 	reg      *runner.Registry
+	stdout   io.Writer
 	workers  int
 	jsonOut  bool
 	runsRoot string
 	progress bool
-	timeline bool
 	cache    runner.ResultCache
 
 	cells, cached, computed, failed int
@@ -194,9 +188,9 @@ type sweepHarness struct {
 // emit renders a table in the selected output format.
 func (h *sweepHarness) emit(t *report.Table) error {
 	if h.jsonOut {
-		return t.RenderJSON(os.Stdout)
+		return t.RenderJSON(h.stdout)
 	}
-	return t.Render(os.Stdout)
+	return t.Render(h.stdout)
 }
 
 // runCampaign fans the jobs out across the worker pool and returns the
@@ -216,34 +210,7 @@ func (h *sweepHarness) runCampaign(name string, seed uint64, jobs []runner.Spec)
 				name, p.Completed(), p.Total, p.JobsPerSec, p.ETA.Round(1e8))
 		}
 	}
-	// Per-job policy timelines: attach a JSONL sink to each job's
-	// context; the simulation kinds pick it up via
-	// obs.PolicySinkFromContext. Sinks are closed after the campaign so
-	// partial writes from a crashed run still flush what they can.
-	var (
-		sinkMu sync.Mutex
-		sinks  []*obs.JSONLSink
-	)
-	if h.timeline && opts.ArtifactDir != "" {
-		opts.JobContext = func(ctx context.Context, i int, _ runner.Spec) context.Context {
-			path := filepath.Join(opts.ArtifactDir, fmt.Sprintf("policy-%03d.jsonl", i))
-			sink, err := obs.CreateJSONL(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pcs sweep: %s: job %d timeline: %v\n", name, i, err)
-				return ctx
-			}
-			sinkMu.Lock()
-			sinks = append(sinks, sink)
-			sinkMu.Unlock()
-			return obs.ContextWithPolicySink(ctx, sink)
-		}
-	}
 	res, err := runner.Run(context.Background(), h.reg, runner.Campaign{Name: name, Seed: seed, Jobs: jobs}, opts)
-	for _, sink := range sinks {
-		if cerr := sink.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "pcs sweep: %s: close timeline: %v\n", name, cerr)
-		}
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -16,11 +15,11 @@ import (
 )
 
 // topCommand renders per-cell resource attribution — where a
-// campaign's wall time, CPU time, allocations and simulated energy
-// went. It reads the job spans of either an archived run directory
-// (spans.jsonl + results.jsonl) or a live pcs serve campaign over
-// HTTP, following the span stream and refreshing the table until the
-// campaign finishes. Tables go to stdout.
+// campaign's wall time, CPU time and simulated energy went. It reads
+// the job spans of either an archived run directory (spans.jsonl) or a
+// live pcs serve campaign over HTTP, following the span stream and
+// refreshing the table until the campaign finishes. Tables go to
+// stdout.
 func topCommand(stdout io.Writer) *cli.Command {
 	var (
 		addr     string
@@ -35,7 +34,7 @@ func topCommand(stdout io.Writer) *cli.Command {
 		Usage:   "[-sort key] [-n N] RUNDIR | -addr host:port [-interval 2s] [-once] [campaign-id]",
 		SetFlags: func(fs *flag.FlagSet) {
 			fs.StringVar(&addr, "addr", "", "pcs serve address; follow a live campaign instead of reading a run directory")
-			fs.StringVar(&sortKey, "sort", "cpu", "sort key: cpu, wall, allocs, energy")
+			fs.StringVar(&sortKey, "sort", "cpu", "sort key: cpu, wall, energy")
 			fs.IntVar(&topN, "n", 15, "rows in the top-cells table (0 = all)")
 			fs.DurationVar(&interval, "interval", 2*time.Second, "with -addr: table refresh period")
 			fs.BoolVar(&once, "once", false, "with -addr: render the current snapshot once and exit")
@@ -111,9 +110,6 @@ func liveTop(stdout io.Writer, addr, id, sortKey string, topN int, interval time
 		cells, err := report.CellsFromSpans(spans)
 		if err != nil {
 			return err
-		}
-		if err := attachLiveEnergy(base, id, cells); err != nil {
-			fmt.Fprintf(os.Stderr, "pcs top: energy join: %v\n", err)
 		}
 		if err := report.SortCells(cells, sortKey); err != nil {
 			return err
@@ -196,19 +192,4 @@ func latestCampaign(base string) (string, error) {
 		return "", fmt.Errorf("server has no campaigns")
 	}
 	return doc.Campaigns[len(doc.Campaigns)-1].ID, nil
-}
-
-// attachLiveEnergy joins per-cell energy from the campaign's completed
-// result records; the /results stream uses the same record shape as
-// results.jsonl.
-func attachLiveEnergy(base, id string, cells []report.CellUsage) error {
-	resp, err := http.Get(base + "/campaigns/" + id + "/results")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /campaigns/%s/results: %s", id, resp.Status)
-	}
-	return report.AttachEnergy(cells, resp.Body)
 }

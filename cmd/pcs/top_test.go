@@ -29,18 +29,25 @@ func runCmd(cmd func(io.Writer) *cli.Command, args ...string) (int, string, stri
 	return code, stdout.String(), stderr.String()
 }
 
+// cellOutput reports a simulated energy to the runner, as the
+// simulator kinds' outputs do.
+type cellOutput struct {
+	MilliJ float64 `json:"mj"`
+}
+
+func (cellOutput) ResourceCounts() (int, uint64) { return 0, 0 }
+func (o cellOutput) EnergyJ() float64            { return o.MilliJ / 1e3 }
+
 // topRegistry has a kind reporting a simulated energy, as the simulator
 // kinds do, and a kind that fails.
 func topRegistry() *runner.Registry {
 	reg := runner.NewRegistry()
 	reg.MustRegister("cell", func(_ context.Context, _ uint64, params json.RawMessage) (any, error) {
-		var p struct {
-			MilliJ float64 `json:"mj"`
-		}
-		if err := json.Unmarshal(params, &p); err != nil {
+		var out cellOutput
+		if err := json.Unmarshal(params, &out); err != nil {
 			return nil, err
 		}
-		return map[string]float64{"total_cache_energy_j": p.MilliJ / 1e3}, nil
+		return out, nil
 	})
 	reg.MustRegister("fail", func(context.Context, uint64, json.RawMessage) (any, error) {
 		return nil, errors.New("deliberate failure")
@@ -66,8 +73,8 @@ var wantRows = map[string]string{
 }
 
 // topRows parses the "Top cells" table out of a rendering, keyed by
-// cell, dropping the wall, cpu and alloc columns, which vary run to
-// run. It also checks the per-kind totals table follows.
+// cell, dropping the wall and cpu columns, which vary run to run. It
+// also checks the per-kind totals table follows.
 func topRows(t *testing.T, out string) map[string]string {
 	t.Helper()
 	_, table, ok := strings.Cut(out, "== Top cells by resource usage ==\n")
@@ -86,10 +93,10 @@ func topRows(t *testing.T, out string) map[string]string {
 	rows := make(map[string]string)
 	for _, line := range strings.Split(table, "\n")[2:] {
 		f := strings.Fields(line)
-		if len(f) != 10 {
+		if len(f) != 9 {
 			t.Fatalf("top-cells row %q has %d columns", line, len(f))
 		}
-		rows[f[0]] = strings.Join(append(f[1:3], f[6:]...), " ")
+		rows[f[0]] = strings.Join(append(f[1:3], f[5:]...), " ")
 	}
 	return rows
 }

@@ -1,33 +1,29 @@
 package core
 
 import (
+	"io"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 )
 
 // benchInterval drives one steady-state policy interval: the hot path a
 // simulation pays per sampling window.
-func benchInterval(b *testing.B, sink obs.PolicySink) {
+func benchInterval(b *testing.B, sp *tracez.Span) {
 	r := newPolicyRig(b)
+	r.ctrl.SetSpan(sp)
 	r.pol.Start(nil)
 	r.pol.Arm(0)
-	r.ctrl.SetSink(sink)
 	settleAtFloor(b, r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < int(r.cfg.Interval); j++ {
-			r.cache.Access(0x40, false)
-			r.now += 2
-		}
-		r.pol.Tick(r.now, nil)
+		steadyInterval(r)
 	}
 }
 
-func BenchmarkPolicyIntervalNoSink(b *testing.B)  { benchInterval(b, nil) }
-func BenchmarkPolicyIntervalNopSink(b *testing.B) { benchInterval(b, obs.NopSink{}) }
+func BenchmarkPolicyIntervalNoSpan(b *testing.B) { benchInterval(b, nil) }
 
-func BenchmarkPolicyIntervalCollector(b *testing.B) {
-	benchInterval(b, &obs.Collector{})
+func BenchmarkPolicyIntervalSpan(b *testing.B) {
+	benchInterval(b, tracez.New(io.Discard).StartRoot("job"))
 }

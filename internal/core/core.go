@@ -23,7 +23,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cacti"
 	"repro/internal/faultmap"
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 )
 
 // Mode selects the cache management policy.
@@ -136,9 +136,9 @@ type Controller struct {
 	transitionWBs     uint64
 	timeAtLevelCycles []uint64 // indexed by level-1
 
-	// obsSink, when non-nil, receives one DecisionTransition event per
-	// Transition call; see SetSink.
-	obsSink obs.PolicySink
+	// span, when non-nil, is the span the controller and its policy
+	// record into; see SetSpan.
+	span *tracez.Span
 
 	// pendingRefill records the block addresses a transition invalidated
 	// whose next miss is a one-time refill rather than steady-state
@@ -203,12 +203,14 @@ func (ct *Controller) refreshAccessEnergy() {
 	ct.writeAccessJ = ct.Power.AccessEnergy(ct.VDD(), true).TotalPJ * 1e-12
 }
 
-// SetSink attaches the cache's telemetry sink. Every subsequent
-// Transition call emits exactly one DecisionTransition event, so
-// counting those events reconciles with Transitions() and summing their
-// Writebacks fields with TransitionWritebacks(); the cache's DPCS policy
-// records its interval decisions here too. A nil sink disables emission.
-func (ct *Controller) SetSink(s obs.PolicySink) { ct.obsSink = s }
+// SetSpan makes sp the span the cache's policy record goes under (the
+// job's span, in a campaign). Every later Transition call records
+// exactly one dpcs.transition instant under it, so counting the
+// instants reconciles with Transitions() and summing their writebacks
+// with TransitionWritebacks(); the cache's DPCS policy records one
+// dpcs.decision instant per interval decision there too. A nil span
+// records nothing.
+func (ct *Controller) SetSpan(sp *tracez.Span) { ct.span = sp }
 
 // Due reports whether the access count has reached the next scheduled
 // decision, the only point at which the cache's policy can act. A
@@ -347,20 +349,17 @@ func (ct *Controller) Transition(next int, now uint64, sink func(addr uint64)) T
 	ct.refreshAccessEnergy()
 	ct.transitions++
 	ct.transitionWBs += uint64(res.Writebacks)
-	if ct.obsSink != nil {
-		ct.obsSink.Record(obs.PolicyEvent{
-			Cycle:         now,
-			CacheName:     ct.Cache.Name(),
-			Decision:      obs.DecisionTransition,
-			FromLevel:     res.FromLevel,
-			ToLevel:       res.ToLevel,
-			FromVDD:       ct.Levels.Volts(res.FromLevel),
-			ToVDD:         ct.Levels.Volts(res.ToLevel),
-			Writebacks:    res.Writebacks,
-			Invalidations: res.Invalidations,
-			PenaltyCycles: res.PenaltyCycles,
-		})
-	}
+	sp := ct.span.Child("dpcs.transition")
+	sp.SetStr("cache", ct.Cache.Name())
+	sp.SetUint("cycle", now)
+	sp.SetInt("from", int64(res.FromLevel))
+	sp.SetInt("to", int64(res.ToLevel))
+	sp.SetFloat("from_vdd", ct.Levels.Volts(res.FromLevel))
+	sp.SetFloat("to_vdd", ct.Levels.Volts(res.ToLevel))
+	sp.SetInt("writebacks", int64(res.Writebacks))
+	sp.SetInt("invalidations", int64(res.Invalidations))
+	sp.SetUint("penalty_cycles", res.PenaltyCycles)
+	sp.EndInstant()
 	return res
 }
 

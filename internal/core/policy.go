@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/obs"
 )
 
 // StaticPolicy holds a cache at one voltage for the whole run. SPCS
@@ -109,6 +108,51 @@ func (c DPCSConfig) Validate() error {
 	return nil
 }
 
+// Decision classifies one DPCS interval decision, the outcome of one
+// pass through the paper's Listing 1 (see DESIGN.md §7).
+type Decision uint8
+
+const (
+	// DecisionNone is an interval sample that took no action.
+	DecisionNone Decision = iota
+	// DecisionCalibrate is the first interval of a super-interval, where
+	// the policy refreshes its NAAT estimate at the SPCS voltage.
+	DecisionCalibrate
+	// DecisionHold is an interval where a descent was suppressed by the
+	// post-descent grace window or the hold-until-reset latch.
+	DecisionHold
+	// DecisionUp is a performance escape: the measured slowdown crossed
+	// the high threshold and the voltage stepped up one level.
+	DecisionUp
+	// DecisionDown is a descent: CAAT was within the low threshold of
+	// NAAT plus the amortised transition penalty.
+	DecisionDown
+	// DecisionReset is the super-interval recalibration return to the
+	// SPCS voltage.
+	DecisionReset
+	// DecisionSkipReset is a recalibration the policy skipped because the
+	// super-interval ran clean and the workload looked stationary.
+	DecisionSkipReset
+)
+
+var decisionNames = [...]string{
+	DecisionNone:      "none",
+	DecisionCalibrate: "calibrate",
+	DecisionHold:      "hold",
+	DecisionUp:        "up",
+	DecisionDown:      "down",
+	DecisionReset:     "reset",
+	DecisionSkipReset: "skip_reset",
+}
+
+// String returns the decision's name as a dpcs.decision instant records it.
+func (d Decision) String() string {
+	if int(d) < len(decisionNames) {
+		return decisionNames[d]
+	}
+	return fmt.Sprintf("Decision(%d)", uint8(d))
+}
+
 // DPCSPolicy is the dynamic policy state machine of Listing 1. It samples the
 // cache's miss rate every Interval accesses, converts it to an estimated
 // current average access time (CAAT), and compares it against the
@@ -199,15 +243,22 @@ func (d *DPCSPolicy) Start(sink func(addr uint64)) {
 	d.ctrl.Transition(d.cfg.SPCSLevel, 0, sink)
 }
 
-// emit records one decision event on the controller's sink, filling in
-// the cache identity. With no sink — or obs.NopSink — the policy's
-// per-tick path performs zero heap allocations.
-func (d *DPCSPolicy) emit(ev obs.PolicyEvent) {
-	if d.ctrl.obsSink == nil {
+// record writes one dpcs.decision instant under the controller's span:
+// the decision and the sampling-window state it was made from. With no
+// span it records nothing and allocates nothing.
+func (d *DPCSPolicy) record(now uint64, dec Decision, interval int, mr, caat float64) {
+	sp := d.ctrl.span.Child("dpcs.decision")
+	if sp == nil {
 		return
 	}
-	ev.CacheName = d.ctrl.Cache.Name()
-	d.ctrl.obsSink.Record(ev)
+	sp.SetStr("cache", d.ctrl.Cache.Name())
+	sp.SetUint("cycle", now)
+	sp.SetStr("decision", dec.String())
+	sp.SetInt("interval", int64(interval))
+	sp.SetFloat("miss_rate", mr)
+	sp.SetFloat("caat", caat)
+	sp.SetFloat("naat", d.naat)
+	sp.EndInstant()
 }
 
 // Arm activates the decision machinery, marking the current statistics
@@ -241,8 +292,9 @@ func (d *DPCSPolicy) amortisedPenalty() float64 {
 
 // Tick runs the policy after a cache access. now is the current cycle.
 // If the access count has reached the scheduled interval boundary the
-// policy makes its Listing-1 decision and schedules the next one; any
-// resulting transition's stall cycles are returned for the caller to
+// policy makes its Listing-1 decision, records it (one dpcs.decision
+// instant when the controller has a span) and schedules the next one;
+// any resulting transition's stall cycles are returned for the caller to
 // add to execution time (zero otherwise). Between boundaries the policy
 // is provably quiescent: it holds no per-access state (energy and
 // time-at-level integrate lazily in the controller's AdvanceTo), so
@@ -271,7 +323,11 @@ func (d *DPCSPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) {
 	} else {
 		damage.Misses = 0
 	}
+	mr := float64(window.Misses) / float64(maxU64(window.Accesses, 1))
+	caat := d.aat(damage)
+	interval := d.intervalCount
 
+	dec := DecisionNone
 	switch {
 	case d.intervalCount == 0:
 		// First interval of a super-interval: sample NAAT, but only when
@@ -279,12 +335,8 @@ func (d *DPCSPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) {
 		// the previous estimate).
 		if d.ctrl.Level() == d.cfg.SPCSLevel {
 			d.naat = d.aat(window)
-			d.naatMr = float64(window.Misses) / float64(maxU64(window.Accesses, 1))
-			d.emit(obs.PolicyEvent{Cycle: now, Decision: obs.DecisionCalibrate,
-				MissRate: d.naatMr, NAAT: d.naat})
-		} else {
-			d.emit(obs.PolicyEvent{Cycle: now, Decision: obs.DecisionNone,
-				NAAT: d.naat})
+			d.naatMr = mr
+			dec = DecisionCalibrate
 		}
 		d.intervalCount++
 	case d.intervalCount == d.cfg.SuperInterval-1:
@@ -293,38 +345,32 @@ func (d *DPCSPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) {
 		// workload is stationary (current miss rate close to the one
 		// NAAT was calibrated against), in which case the round trip
 		// would only churn the cache contents.
-		mrNow := float64(window.Misses) / float64(maxU64(window.Accesses, 1))
-		mrDiff := mrNow - d.naatMr
+		mrDiff := mr - d.naatMr
 		if mrDiff < 0 {
 			mrDiff = -mrDiff
 		}
 		// Stationary unless the miss rate moved by both an absolute and
 		// a relative margin (same scale as the phase-change detector).
 		stationary := !(mrDiff > phaseChangeAbsDiff && mrDiff > 0.5*d.naatMr)
-		dec := obs.DecisionNone
 		if d.ctrl.Level() != d.cfg.SPCSLevel {
 			if d.maxSlowdown >= d.cfg.HighThreshold/2 || !stationary || d.cfg.Ablate.NoSkipReset {
 				res := d.ctrl.Transition(d.cfg.SPCSLevel, now, sink)
 				stall = res.PenaltyCycles
 				d.Resets++
-				dec = obs.DecisionReset
+				dec = DecisionReset
 			} else {
-				dec = obs.DecisionSkipReset
+				dec = DecisionSkipReset
 			}
 		}
-		d.emit(obs.PolicyEvent{Cycle: now, Decision: dec,
-			Interval: uint64(d.intervalCount), MissRate: mrNow, NAAT: d.naat})
 		d.maxSlowdown = 0
 		d.intervalCount = 0
 		d.holdUntilReset = false
 	default:
-		caat := d.aat(damage)
 		caatRaw := d.aat(window)
 		// Refresh the NAAT estimate whenever the whole interval ran at
 		// the SPCS voltage (an exponentially weighted moving average),
 		// so a cold or perturbed first sample cannot go stale for a
 		// whole super-interval.
-		mr := float64(window.Misses) / float64(maxU64(window.Accesses, 1))
 		if d.ctrl.Level() == d.cfg.SPCSLevel {
 			d.naat = 0.5*d.naat + 0.5*caat
 			d.naatMr = 0.5*d.naatMr + 0.5*mr
@@ -358,11 +404,10 @@ func (d *DPCSPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) {
 			floor = d.badLevel + 1
 		}
 		hold := d.holdUntilReset && !d.cfg.Ablate.NoHoldLatch
-		dec := obs.DecisionNone
 		switch {
 		case d.graceLeft > 0:
 			d.graceLeft--
-			dec = obs.DecisionHold
+			dec = DecisionHold
 		case slowdown > d.cfg.HighThreshold && d.ctrl.Level() < d.cfg.SPCSLevel:
 			d.badLevel = d.ctrl.Level()
 			d.badActive = true
@@ -371,7 +416,7 @@ func (d *DPCSPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) {
 			stall = res.PenaltyCycles
 			d.Ups++
 			d.holdUntilReset = true
-			dec = obs.DecisionUp
+			dec = DecisionUp
 		case caatRaw < downRef && d.ctrl.Level() > floor && !hold:
 			res := d.ctrl.Transition(d.ctrl.Level()-1, now, sink)
 			stall = res.PenaltyCycles
@@ -381,16 +426,15 @@ func (d *DPCSPolicy) Tick(now uint64, sink func(addr uint64)) (stall uint64) {
 			// steady-state degradation, so the grace period scales with
 			// the invalidation count.
 			d.graceLeft = 1
-			dec = obs.DecisionDown
+			dec = DecisionDown
 		case caatRaw < downRef && d.ctrl.Level() > floor && hold:
 			// The descent condition held but the post-escape latch
 			// suppressed it.
-			dec = obs.DecisionHold
+			dec = DecisionHold
 		}
-		d.emit(obs.PolicyEvent{Cycle: now, Decision: dec,
-			Interval: uint64(d.intervalCount), MissRate: mr, CAAT: caat, NAAT: d.naat})
 		d.intervalCount++
 	}
+	d.record(now, dec, interval, mr, caat)
 	return stall
 }
 

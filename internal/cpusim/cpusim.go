@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultmap"
 	"repro/internal/faultmodel"
-	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -143,11 +142,6 @@ type RunOptions struct {
 	SimInstr uint64
 	// Seed drives fault-map placement and the workload generator.
 	Seed uint64
-	// Sink, when non-nil, receives typed policy telemetry from every
-	// cache level: one event per DPCS interval decision plus one
-	// DecisionTransition event per controller voltage transition
-	// (including the initial cycle-0 transitions to the SPCS voltage).
-	Sink obs.PolicySink
 	// Arena, when non-nil, supplies the reusable per-worker simulation
 	// state (see Arena); the run's output is byte-identical with or
 	// without it.
@@ -601,32 +595,6 @@ func (s *System) simulate(ctx context.Context, p *trace.Pipe, n uint64) error {
 	return nil
 }
 
-// transitionTracer wraps a PolicySink, recording every controller
-// voltage transition as a dpcs.transition instant span under parent.
-// Interval-decision telemetry passes through untouched: only the
-// transitions, which are rare, become spans.
-type transitionTracer struct {
-	inner  obs.PolicySink
-	parent *tracez.Span
-}
-
-// Record implements obs.PolicySink.
-func (t *transitionTracer) Record(ev obs.PolicyEvent) {
-	if t.inner != nil {
-		t.inner.Record(ev)
-	}
-	if ev.Decision != obs.DecisionTransition {
-		return
-	}
-	sp := t.parent.Child("dpcs.transition")
-	sp.SetStr("cache", ev.CacheName)
-	sp.SetInt("from", int64(ev.FromLevel))
-	sp.SetInt("to", int64(ev.ToLevel))
-	sp.SetInt("writebacks", int64(ev.Writebacks))
-	sp.SetUint("cycle", ev.Cycle)
-	sp.EndInstant()
-}
-
 // run drives a prepared system through warm-up and measurement,
 // feeding it gen's instructions through a trace.Pipe.
 func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions) (Result, error) {
@@ -645,13 +613,12 @@ func (sys *System) run(ctx context.Context, gen trace.Generator, opts RunOptions
 func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, window func(n uint64) error) (Result, error) {
 	cfg := sys.cfg
 	mode := sys.mode
+	// Every level records its policy's decisions and transitions under
+	// the caller's span, warm-up included; without one it records
+	// nothing.
 	parent := tracez.SpanFromContext(ctx)
-	sink := opts.Sink
-	if parent != nil {
-		sink = &transitionTracer{inner: opts.Sink, parent: parent}
-	}
 	for _, lv := range sys.levels() {
-		lv.Ctrl.SetSink(sink)
+		lv.Ctrl.SetSpan(parent)
 	}
 	sys.start()
 
@@ -683,11 +650,14 @@ func (sys *System) drive(ctx context.Context, workload string, opts RunOptions, 
 
 	msp := parent.Child("sim.measure")
 	msp.SetUint("instructions", opts.SimInstr)
-	if err := window(opts.SimInstr); err != nil {
-		msp.End()
+	msp.SetUint("start_cycle", startCycles)
+	msp.SetFloat("clock_hz", cfg.ClockHz)
+	err := window(opts.SimInstr)
+	msp.SetUint("end_cycle", sys.Cycles)
+	msp.End()
+	if err != nil {
 		return Result{}, err
 	}
-	msp.End()
 
 	esp := parent.Child("sim.energy")
 	cycles := sys.Cycles - startCycles
@@ -738,6 +708,10 @@ func (r Result) ResourceCounts() (transitions int, writebacks uint64) {
 	writebacks = r.L1I.Stats.Writebacks + r.L1D.Stats.Writebacks + r.L2.Stats.Writebacks
 	return transitions, writebacks
 }
+
+// EnergyJ implements runner.ResourceCounter: the run's total cache
+// energy.
+func (r Result) EnergyJ() float64 { return r.TotalCacheEnergyJ }
 
 // String gives a compact one-line summary of a result.
 func (r Result) String() string {

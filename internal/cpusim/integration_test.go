@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultmodel"
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 	"repro/internal/trace"
 )
 
@@ -188,8 +188,9 @@ func (p *tickCounter) Tick(now uint64, sink func(addr uint64)) uint64 {
 // both configurations: after Start a baseline level sits at the top
 // level with no transition, and SPCS and DPCS levels at the SPCS level
 // after one; baseline and SPCS levels are never due over a run, while
-// DPCS levels decide; and a DPCS level's decision and transition events
-// arrive on the one sink set on its controller.
+// DPCS levels decide, one dpcs.decision instant per tick; and every
+// instant a level records goes under the one span set on its
+// controller.
 func TestPolicyContract(t *testing.T) {
 	for _, cfg := range []SystemConfig{ConfigA(), ConfigB()} {
 		for _, mode := range []core.Mode{core.Baseline, core.SPCS, core.DPCS} {
@@ -198,14 +199,16 @@ func TestPolicyContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			specs := [3]CacheSpec{cfg.L1I, cfg.L1D, cfg.L2}
+			var buf bytes.Buffer
+			tr := tracez.New(&buf)
 			var counters [3]*tickCounter
-			var sinks [3]*obs.Collector
+			var spans [3]*tracez.Span
 			var started [3]int // transitions after Start
 			for k, lv := range sys.levels() {
 				counters[k] = &tickCounter{Policy: lv.Pol}
 				lv.Pol = counters[k]
-				sinks[k] = &obs.Collector{}
-				lv.Ctrl.SetSink(sinks[k])
+				spans[k] = tr.StartRoot("level")
+				lv.Ctrl.SetSpan(spans[k])
 			}
 			sys.start()
 			for k, lv := range sys.levels() {
@@ -239,21 +242,27 @@ func TestPolicyContract(t *testing.T) {
 			if err := sys.simulate(ctx, p, 300_000); err != nil {
 				t.Fatal(err)
 			}
+			recorded, err := tracez.ReadSpans(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for k, lv := range sys.levels() {
 				name := fmt.Sprintf("%s/%v/%s", cfg.Name, mode, lv.Ctrl.Cache.Name())
-				decisions, transitions := 0, 0
-				for _, ev := range sinks[k].Events {
-					if ev.CacheName != lv.Ctrl.Cache.Name() {
-						t.Errorf("%s: event for cache %q on this level's sink", name, ev.CacheName)
+				var mine []tracez.Span
+				for _, sp := range recorded {
+					if sp.Parent == spans[k].ID {
+						mine = append(mine, sp)
 					}
-					if ev.Decision == obs.DecisionTransition {
-						transitions++
-					} else {
-						decisions++
+				}
+				dec, trans := instantsOf(t, mine, spans[k].ID)
+				decisions, transitions := len(dec), len(trans)
+				for _, in := range append(dec, trans...) {
+					if in.Cache != lv.Ctrl.Cache.Name() {
+						t.Errorf("%s: instant for cache %q under this level's span", name, in.Cache)
 					}
 				}
 				if transitions != lv.Ctrl.Transitions() {
-					t.Errorf("%s: %d transition events, controller made %d", name, transitions, lv.Ctrl.Transitions())
+					t.Errorf("%s: %d transition instants, controller made %d", name, transitions, lv.Ctrl.Transitions())
 				}
 				if mode != core.DPCS {
 					if counters[k].ticks != 0 || decisions != 0 || lv.Ctrl.Transitions() != started[k] {
@@ -261,7 +270,7 @@ func TestPolicyContract(t *testing.T) {
 							name, counters[k].ticks, decisions, lv.Ctrl.Transitions())
 					}
 				} else if counters[k].ticks == 0 || decisions != counters[k].ticks {
-					t.Errorf("%s: %d ticks and %d decision events, want equal and > 0", name, counters[k].ticks, decisions)
+					t.Errorf("%s: %d ticks and %d decision instants, want equal and > 0", name, counters[k].ticks, decisions)
 				}
 			}
 		}

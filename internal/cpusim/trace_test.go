@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 )
 
 // TestPhaseSpans runs a traced DPCS simulation and checks the
 // phase-granular span taxonomy: build, tracegen, warmup, measure and
 // energy each appear once as children of the caller's span, and every
-// policy transition, warm-up included, appears as one dpcs.transition
-// instant. Tracing must not perturb the simulation itself.
+// policy transition and decision, warm-up included, appears as one
+// dpcs.transition or dpcs.decision instant. Tracing must not perturb
+// the simulation itself.
 func TestPhaseSpans(t *testing.T) {
 	base, err := Run(ConfigA(), core.DPCS, smallWorkload(), fastOpts())
 	if err != nil {
@@ -22,12 +22,9 @@ func TestPhaseSpans(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	var events obs.Collector
 	tr := tracez.New(&buf)
 	ctx, root := tr.Start(tracez.ContextWith(context.Background(), tr), "job")
-	opts := fastOpts()
-	opts.Sink = &events
-	res, err := RunContext(ctx, ConfigA(), core.DPCS, smallWorkload(), opts)
+	res, err := RunContext(ctx, ConfigA(), core.DPCS, smallWorkload(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,24 +54,19 @@ func TestPhaseSpans(t *testing.T) {
 		if sp.Name != "job" && sp.Parent != rootID {
 			t.Errorf("%s span parented to %q, want job span %q", sp.Name, sp.Parent, rootID)
 		}
-		if sp.Name == "dpcs.transition" && sp.Kind != tracez.KindInstant {
-			t.Errorf("dpcs.transition recorded as %q, want instant", sp.Kind)
+		if (sp.Name == "dpcs.transition" || sp.Name == "dpcs.decision") && sp.Kind != tracez.KindInstant {
+			t.Errorf("%s recorded as %q, want instant", sp.Name, sp.Kind)
 		}
 	}
-	// The instants cover warm-up too, so they may outnumber the
-	// measured window's transitions, but they match the policy
-	// telemetry's transition events one for one.
+	// The instants cover warm-up too, so the transitions may outnumber
+	// the measured window's, but they match the controllers' whole-run
+	// counts one for one.
 	if trans, _ := res.ResourceCounts(); trans == 0 {
 		t.Fatal("DPCS run reported zero measured transitions")
 	}
-	var transEvents int
-	for _, ev := range events.Events {
-		if ev.Decision == obs.DecisionTransition {
-			transEvents++
-		}
-	}
-	if counts["dpcs.transition"] != transEvents || transEvents == 0 {
-		t.Errorf("%d dpcs.transition instants for %d transition events", counts["dpcs.transition"], transEvents)
+	if counts["dpcs.transition"] < res.L1I.Transitions+res.L1D.Transitions+res.L2.Transitions || counts["dpcs.decision"] == 0 {
+		t.Errorf("%d dpcs.transition and %d dpcs.decision instants for %d measured transitions",
+			counts["dpcs.transition"], counts["dpcs.decision"], res.L1I.Transitions+res.L1D.Transitions+res.L2.Transitions)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultmodel"
 	"repro/internal/mechanism"
 	"repro/internal/multicore"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
@@ -173,6 +172,9 @@ func (o CPUSimOutput) ResourceCounts() (transitions int, writebacks uint64) {
 	return o.L2Transitions, 0
 }
 
+// EnergyJ implements runner.ResourceCounter.
+func (o CPUSimOutput) EnergyJ() float64 { return o.TotalCacheEnergyJ }
+
 func runCPUSimJob(ctx context.Context, seed uint64, params json.RawMessage) (any, error) {
 	var p CPUSimParams
 	if err := decodeParams(params, &p); err != nil {
@@ -201,10 +203,6 @@ func runCPUSimJob(ctx context.Context, seed uint64, params json.RawMessage) (any
 		WarmupInstr: p.WarmupInstr,
 		SimInstr:    p.SimInstr,
 		Seed:        seed,
-		// Per-job telemetry: the runner (pcs-sweep -timeline) attaches a
-		// sink to the job context rather than to the parameter document,
-		// which must stay deterministic.
-		Sink: obs.PolicySinkFromContext(ctx),
 		// Warm path: reuse this worker's simulation arena (nil when cold).
 		Arena: arenaFromContext(ctx).simArena(),
 	}
@@ -299,6 +297,9 @@ type MulticoreOutput struct {
 func (o MulticoreOutput) ResourceCounts() (transitions int, writebacks uint64) {
 	return o.L2Transitions, 0
 }
+
+// EnergyJ implements runner.ResourceCounter.
+func (o MulticoreOutput) EnergyJ() float64 { return o.TotalCacheEnergyJ }
 
 func runMulticoreJob(ctx context.Context, seed uint64, params json.RawMessage) (any, error) {
 	var p MulticoreParams

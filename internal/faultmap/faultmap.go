@@ -16,10 +16,8 @@
 package faultmap
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -248,75 +246,3 @@ func (m *Map) CheckInclusion() error {
 // StorageBitsPerBlock returns the number of metadata bits the mechanism
 // adds per block: the FM bits plus the single Faulty bit.
 func (m *Map) StorageBitsPerBlock() int { return m.levels.FMBits() + 1 }
-
-const mapMagic = 0x50435346 // "PCSF"
-
-// WriteTo serialises the map in a compact binary format.
-func (m *Map) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(mapMagic)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(m.levels.N())); err != nil {
-		return n, err
-	}
-	if err := write(m.levels.volts); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(m.fm))); err != nil {
-		return n, err
-	}
-	if err := write(m.fm); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
-// ReadMap deserialises a map written by WriteTo.
-func ReadMap(r io.Reader) (*Map, error) {
-	var magic, nlevels uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("faultmap: reading magic: %w", err)
-	}
-	if magic != mapMagic {
-		return nil, fmt.Errorf("faultmap: bad magic %#x", magic)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &nlevels); err != nil {
-		return nil, fmt.Errorf("faultmap: reading level count: %w", err)
-	}
-	if nlevels == 0 || nlevels > 254 {
-		return nil, fmt.Errorf("faultmap: implausible level count %d", nlevels)
-	}
-	volts := make([]float64, nlevels)
-	if err := binary.Read(r, binary.LittleEndian, &volts); err != nil {
-		return nil, fmt.Errorf("faultmap: reading voltages: %w", err)
-	}
-	levels, err := NewLevels(volts...)
-	if err != nil {
-		return nil, err
-	}
-	var nblocks uint32
-	if err := binary.Read(r, binary.LittleEndian, &nblocks); err != nil {
-		return nil, fmt.Errorf("faultmap: reading block count: %w", err)
-	}
-	if nblocks == 0 || nblocks > 1<<28 {
-		return nil, fmt.Errorf("faultmap: implausible block count %d", nblocks)
-	}
-	m := NewMap(levels, int(nblocks))
-	if err := binary.Read(r, binary.LittleEndian, &m.fm); err != nil {
-		return nil, fmt.Errorf("faultmap: reading FM values: %w", err)
-	}
-	for b, v := range m.fm {
-		if int(v) > levels.N() {
-			return nil, fmt.Errorf("faultmap: block %d FM %d exceeds level count", b, v)
-		}
-	}
-	return m, nil
-}

@@ -1,7 +1,6 @@
 package faultmap
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -193,58 +192,6 @@ func TestStorageBitsPerBlock(t *testing.T) {
 	// 2 FM bits + 1 Faulty bit for N=3 — the paper's "3, 3" in Table 2.
 	if got := m.StorageBitsPerBlock(); got != 3 {
 		t.Errorf("storage bits %d, want 3", got)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	l := threeLevels(t)
-	m := NewMap(l, 100)
-	for b := 0; b < 100; b++ {
-		m.SetFM(b, b%4)
-	}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMap(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumBlocks() != 100 || got.Levels().N() != 3 {
-		t.Fatalf("shape mismatch: %d blocks, %d levels", got.NumBlocks(), got.Levels().N())
-	}
-	for b := 0; b < 100; b++ {
-		if got.FM(b) != m.FM(b) {
-			t.Fatalf("block %d FM %d != %d", b, got.FM(b), m.FM(b))
-		}
-	}
-	for k := 1; k <= 3; k++ {
-		if got.Levels().Volts(k) != l.Volts(k) {
-			t.Fatalf("level %d voltage mismatch", k)
-		}
-	}
-}
-
-func TestReadMapRejectsGarbage(t *testing.T) {
-	if _, err := ReadMap(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("short input accepted")
-	}
-	if _, err := ReadMap(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func TestReadMapRejectsTruncated(t *testing.T) {
-	m := NewMap(threeLevels(t), 8)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := 1; cut < len(full)-1; cut += 7 {
-		if _, err := ReadMap(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncated map at %d bytes accepted", cut)
-		}
 	}
 }
 

@@ -22,8 +22,9 @@
 //
 // Spans are phase-granular, never per-instruction: the simulator's
 // instruction loop is untouched; only phase boundaries (warmup,
-// measurement, energy rollup) and DPCS transition instants are
-// recorded.
+// measurement, energy rollup) and the DPCS policy's decision and
+// transition instants, one per interval decision and one per voltage
+// transition, are recorded.
 package tracez
 
 import (
@@ -44,8 +45,8 @@ import (
 // FileName is the span sidecar's name inside a run directory.
 const FileName = "spans.jsonl"
 
-// KindInstant marks a zero-duration point event (a DPCS transition,
-// for example) rather than an interval.
+// KindInstant marks a zero-duration point event (a DPCS decision or
+// transition, for example) rather than an interval.
 const KindInstant = "instant"
 
 // Span is one traced interval (or instant). The JSON field names are

@@ -3,17 +3,14 @@ package report
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"repro/internal/obs/tracez"
 )
 
 // CellUsage is one job's resource attribution, decoded from its job
-// span (and optionally joined with results.jsonl for energy): the row
-// type behind `pcs report -top` and `pcs top`. The JSON names are the
-// job span's attribute names.
+// span: the row type behind `pcs report -top` and `pcs top`. The JSON
+// names are the job span's attribute names.
 type CellUsage struct {
 	Index  int    `json:"job"`
 	Kind   string `json:"kind"`
@@ -22,18 +19,15 @@ type CellUsage struct {
 	// WallMS is the job span's duration.
 	WallMS float64 `json:"-"`
 	CPUMS  float64 `json:"cpu_ms"`
-	Allocs uint64  `json:"allocs"`
-	// AllocBytes is the job's heap allocation volume.
-	AllocBytes uint64 `json:"alloc_bytes"`
 	// Cache is the resultstore probe's outcome: "hit", "miss", or ""
 	// when the job did not consult the store.
 	Cache string `json:"cache"`
 	// Transitions/Writebacks are the simulator-side counts.
 	Transitions int    `json:"transitions"`
 	Writebacks  uint64 `json:"writebacks"`
-	// EnergyJ is the cell's simulated total cache energy, parsed from
-	// results.jsonl when the output reports total_cache_energy_j.
-	EnergyJ float64 `json:"-"`
+	// EnergyJ is the cell's simulated total cache energy, when its
+	// output reports one.
+	EnergyJ float64 `json:"energy_j"`
 }
 
 // CellsFromSpans assembles per-cell usage from a campaign's spans, one
@@ -56,52 +50,9 @@ func CellsFromSpans(spans []tracez.Span) ([]CellUsage, error) {
 	return cells, nil
 }
 
-// AttachEnergy joins each cell with its result record's
-// output.total_cache_energy_j, read generically from a results.jsonl
-// stream so it works for every simulator kind that reports the field.
-// Records without it (analytical kinds) leave EnergyJ zero.
-func AttachEnergy(cells []CellUsage, r io.Reader) error {
-	byIndex := make(map[int]*CellUsage, len(cells))
-	for i := range cells {
-		byIndex[cells[i].Index] = &cells[i]
-	}
-	dec := json.NewDecoder(r)
-	for n := 0; ; n++ {
-		var rec struct {
-			Index  int `json:"index"`
-			Output struct {
-				TotalCacheEnergyJ float64 `json:"total_cache_energy_j"`
-			} `json:"output"`
-		}
-		if err := dec.Decode(&rec); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("report: results record %d: %w", n, err)
-		}
-		if c, ok := byIndex[rec.Index]; ok {
-			c.EnergyJ = rec.Output.TotalCacheEnergyJ
-		}
-	}
-}
-
-// AttachEnergyFile is AttachEnergy over a results.jsonl path; a missing
-// file is not an error (the campaign may predate artifacts or still be
-// running).
-func AttachEnergyFile(cells []CellUsage, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("report: %w", err)
-	}
-	defer f.Close()
-	return AttachEnergy(cells, f)
-}
-
 // SortCells orders cells by the named key, descending: "cpu" (measured
 // CPU time, wall time breaking ties — off Linux CPU time is zero and
-// the order degrades to wall), "wall", "allocs", or "energy".
+// the order degrades to wall), "wall", or "energy".
 func SortCells(cells []CellUsage, key string) error {
 	var less func(a, b CellUsage) bool
 	switch key {
@@ -114,12 +65,10 @@ func SortCells(cells []CellUsage, key string) error {
 		}
 	case "wall":
 		less = func(a, b CellUsage) bool { return a.WallMS > b.WallMS }
-	case "allocs":
-		less = func(a, b CellUsage) bool { return a.AllocBytes > b.AllocBytes }
 	case "energy":
 		less = func(a, b CellUsage) bool { return a.EnergyJ > b.EnergyJ }
 	default:
-		return fmt.Errorf("report: unknown sort key %q (cpu, wall, allocs, energy)", key)
+		return fmt.Errorf("report: unknown sort key %q (cpu, wall, energy)", key)
 	}
 	sort.SliceStable(cells, func(i, j int) bool { return less(cells[i], cells[j]) })
 	return nil
@@ -149,10 +98,10 @@ func TopCellsTable(cells []CellUsage, n int) *Table {
 		cells = cells[:n]
 	}
 	t := NewTable("Top cells by resource usage",
-		"cell", "kind", "status", "wall ms", "cpu ms", "alloc MB", "cache", "transitions", "writebacks", "energy mJ")
+		"cell", "kind", "status", "wall ms", "cpu ms", "cache", "transitions", "writebacks", "energy mJ")
 	for _, c := range cells {
 		t.AddRow(cellLabel(c), c.Kind, c.Status, c.WallMS, c.CPUMS,
-			float64(c.AllocBytes)/(1<<20), cacheMark(c), c.Transitions, c.Writebacks, c.EnergyJ*1e3)
+			cacheMark(c), c.Transitions, c.Writebacks, c.EnergyJ*1e3)
 	}
 	return t
 }
@@ -164,7 +113,6 @@ func KindSummaryTable(cells []CellUsage) *Table {
 		kind         string
 		jobs         int
 		wall, cpu    float64
-		allocBytes   uint64
 		hits, misses int
 		energyJ      float64
 	}
@@ -180,7 +128,6 @@ func KindSummaryTable(cells []CellUsage) *Table {
 		a.jobs++
 		a.wall += c.WallMS
 		a.cpu += c.CPUMS
-		a.allocBytes += c.AllocBytes
 		switch c.Cache {
 		case "hit":
 			a.hits++
@@ -193,11 +140,10 @@ func KindSummaryTable(cells []CellUsage) *Table {
 		return byKind[order[i]].cpu > byKind[order[j]].cpu
 	})
 	t := NewTable("Per-kind totals",
-		"kind", "jobs", "wall ms", "cpu ms", "alloc MB", "hits", "misses", "energy mJ")
+		"kind", "jobs", "wall ms", "cpu ms", "hits", "misses", "energy mJ")
 	for _, k := range order {
 		a := byKind[k]
-		t.AddRow(a.kind, a.jobs, a.wall, a.cpu, float64(a.allocBytes)/(1<<20),
-			a.hits, a.misses, a.energyJ*1e3)
+		t.AddRow(a.kind, a.jobs, a.wall, a.cpu, a.hits, a.misses, a.energyJ*1e3)
 	}
 	return t
 }

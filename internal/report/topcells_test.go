@@ -12,9 +12,9 @@ import (
 func topcellsSpans(t *testing.T) []tracez.Span {
 	t.Helper()
 	spans, err := tracez.ReadSpans(strings.NewReader(`{"trace":"t","span":"5","parent":"1","name":"sim.measure","start_unix_ns":10,"dur_ns":40000000}
-{"trace":"t","span":"3","parent":"1","name":"job","start_unix_ns":1,"dur_ns":5000000,"attrs":{"job":1,"kind":"cpusim","name":"fast","status":"done","cpu_ms":4,"allocs":16384,"alloc_bytes":1048576,"cache":"hit","transitions":2,"writebacks":6}}
-{"trace":"t","span":"2","parent":"1","name":"job","start_unix_ns":1,"dur_ns":50000000,"attrs":{"job":0,"kind":"cpusim","name":"slow","status":"done","cpu_ms":45,"allocs":131072,"alloc_bytes":8388608,"cache":"miss","stored_bytes":900,"transitions":7,"writebacks":21}}
-{"trace":"t","span":"4","parent":"1","name":"job","start_unix_ns":1,"dur_ns":1000000,"attrs":{"job":2,"kind":"analytical","status":"failed","error":"boom","cpu_ms":1,"allocs":16,"alloc_bytes":1024,"cache":"miss"}}
+{"trace":"t","span":"3","parent":"1","name":"job","start_unix_ns":1,"dur_ns":5000000,"attrs":{"job":1,"kind":"cpusim","name":"fast","status":"done","cpu_ms":4,"cache":"hit","transitions":2,"writebacks":6,"energy_j":0.001}}
+{"trace":"t","span":"2","parent":"1","name":"job","start_unix_ns":1,"dur_ns":50000000,"attrs":{"job":0,"kind":"cpusim","name":"slow","status":"done","cpu_ms":45,"cache":"miss","stored_bytes":900,"transitions":7,"writebacks":21,"energy_j":0.004}}
+{"trace":"t","span":"4","parent":"1","name":"job","start_unix_ns":1,"dur_ns":1000000,"attrs":{"job":2,"kind":"analytical","status":"failed","error":"boom","cpu_ms":1,"cache":"miss"}}
 {"trace":"t","span":"1","name":"campaign","start_unix_ns":0,"dur_ns":60000000,"attrs":{"campaign":"c","done":2,"failed":1}}
 `))
 	if err != nil {
@@ -38,7 +38,7 @@ func TestCellsFromEventsAndSort(t *testing.T) {
 	if len(cells) != 3 {
 		t.Fatalf("got %d cells, want 3", len(cells))
 	}
-	if c := cells[0]; c.WallMS != 50 || c.CPUMS != 45 || c.AllocBytes != 8<<20 || c.Cache != "miss" || c.Transitions != 7 || c.Writebacks != 21 {
+	if c := cells[0]; c.WallMS != 50 || c.CPUMS != 45 || c.EnergyJ != 0.004 || c.Cache != "miss" || c.Transitions != 7 || c.Writebacks != 21 {
 		t.Errorf("cell 0 %+v", c)
 	}
 	// Index order from assembly.
@@ -56,27 +56,23 @@ func TestCellsFromEventsAndSort(t *testing.T) {
 	if cells[0].Name != "slow" || cells[1].Name != "fast" {
 		t.Fatalf("cpu sort order: %q, %q", cells[0].Name, cells[1].Name)
 	}
-	if err := SortCells(cells, "allocs"); err != nil {
+	if err := SortCells(cells, "wall"); err != nil {
 		t.Fatal(err)
 	}
-	if cells[0].Name != "slow" {
-		t.Fatalf("allocs sort put %q first", cells[0].Name)
+	if cells[0].Name != "slow" || cells[2].Status != "failed" {
+		t.Fatalf("wall sort order: %q, %q, %q", cells[0].Name, cells[1].Name, cells[2].Name)
 	}
-	if err := SortCells(cells, "nope"); err == nil {
-		t.Fatal("unknown sort key accepted")
+	for _, key := range []string{"nope", "allocs"} {
+		if err := SortCells(cells, key); err == nil {
+			t.Fatalf("sort key %q accepted", key)
+		}
 	}
 }
 
-func TestAttachEnergyAndTables(t *testing.T) {
+// TestEnergyFromSpansAndTables checks the energy_j attribute reaches
+// the energy sort and both tables.
+func TestEnergyFromSpansAndTables(t *testing.T) {
 	cells := cellsOf(t, topcellsSpans(t))
-	results := strings.Join([]string{
-		`{"index":0,"status":"done","output":{"total_cache_energy_j":0.004}}`,
-		`{"index":1,"status":"done","output":{"total_cache_energy_j":0.001}}`,
-		`{"index":2,"status":"failed"}`,
-	}, "\n")
-	if err := AttachEnergy(cells, strings.NewReader(results)); err != nil {
-		t.Fatal(err)
-	}
 	if cells[0].EnergyJ != 0.004 || cells[1].EnergyJ != 0.001 || cells[2].EnergyJ != 0 {
 		t.Fatalf("energies %v %v %v", cells[0].EnergyJ, cells[1].EnergyJ, cells[2].EnergyJ)
 	}
@@ -92,7 +88,7 @@ func TestAttachEnergyAndTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := out.String()
-	for _, want := range []string{"slow", "fast", "hit", "miss"} {
+	for _, want := range []string{"slow", "fast", "hit", "miss", "energy mJ"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("top table missing %q:\n%s", want, table)
 		}

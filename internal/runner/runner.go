@@ -101,8 +101,8 @@ type JobResult struct {
 	// byte-identically. Cache provenance is recorded on the job span
 	// and in ledger.jsonl.
 	Cached bool `json:"-"`
-	// Resources is the job's measured resource-attribution block (CPU
-	// time, allocations, cache probe outcome). Excluded from JSON like
+	// Resources is the job's resource-attribution block (CPU time,
+	// cache probe outcome, simulator counts). Excluded from JSON like
 	// Duration: it is wall-clock data and belongs to the job span.
 	Resources *JobResources `json:"-"`
 }
@@ -143,10 +143,6 @@ type Options struct {
 	// OnJobStart, when non-nil, is called (serialised) as a worker picks
 	// up each job, before its kind function runs.
 	OnJobStart func(index int)
-	// JobContext, when non-nil, decorates each job's context before the
-	// kind function sees it — e.g. attaching a per-job telemetry sink
-	// with obs.ContextWithPolicySink.
-	JobContext func(ctx context.Context, index int, spec Spec) context.Context
 	// Cache, when non-nil, memoizes job outputs content-addressed by
 	// (kind, canonical params, effective seed, CodeVersion): runJob
 	// consults it before executing and stores successful outputs after.
@@ -415,15 +411,13 @@ func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, state
 		r.CacheHit = res.Cached
 		if rc, ok := res.Output.(ResourceCounter); ok {
 			r.Transitions, r.Writebacks = rc.ResourceCounts()
+			r.EnergyJ = rc.EnergyJ()
 		}
 		res.Resources = r
 		endJobSpan(span, &res, stored)
 	}()
 	if ctx.Err() != nil {
 		return cancelledResult(c, i)
-	}
-	if opts.JobContext != nil {
-		ctx = opts.JobContext(ctx, i, spec)
 	}
 	fn, _ := reg.Lookup(spec.Kind)
 	info := reg.Info(spec.Kind)
@@ -517,8 +511,6 @@ func endJobSpan(sp *tracez.Span, r *JobResult, stored int) {
 	}
 	res := r.Resources
 	sp.SetFloat("cpu_ms", res.CPUMS)
-	sp.SetUint("allocs", res.Allocs)
-	sp.SetUint("alloc_bytes", res.AllocBytes)
 	switch {
 	case res.CacheHit:
 		sp.SetStr("cache", "hit")
@@ -533,6 +525,9 @@ func endJobSpan(sp *tracez.Span, r *JobResult, stored int) {
 	}
 	if res.Writebacks > 0 {
 		sp.SetUint("writebacks", res.Writebacks)
+	}
+	if res.EnergyJ > 0 {
+		sp.SetFloat("energy_j", res.EnergyJ)
 	}
 	sp.End()
 }

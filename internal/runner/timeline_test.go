@@ -21,12 +21,11 @@ type jobAttrs struct {
 	Status      string  `json:"status"`
 	Error       string  `json:"error"`
 	CPUMS       float64 `json:"cpu_ms"`
-	Allocs      uint64  `json:"allocs"`
-	AllocBytes  uint64  `json:"alloc_bytes"`
 	Cache       string  `json:"cache"`
 	StoredBytes int     `json:"stored_bytes"`
 	Transitions int     `json:"transitions"`
 	Writebacks  uint64  `json:"writebacks"`
+	EnergyJ     float64 `json:"energy_j"`
 }
 
 // decodeAttrs decodes a span's attribute object into v.
@@ -121,18 +120,11 @@ func TestTimelineArtifact(t *testing.T) {
 	}
 }
 
-// TestJobHooks checks OnJobStart fires per job and JobContext decorates
-// the context the kind function receives.
+// TestJobHooks checks OnJobStart fires once per job, before the job
+// reaches a terminal state.
 func TestJobHooks(t *testing.T) {
 	reg := testRegistry(t)
-	type ctxKey struct{}
-	reg.MustRegister("ctxcheck", func(ctx context.Context, _ uint64, _ json.RawMessage) (any, error) {
-		return ctx.Value(ctxKey{}), nil
-	})
-	c := Campaign{Name: "hooks", Seed: 7}
-	for i := 0; i < 4; i++ {
-		c.Jobs = append(c.Jobs, Spec{Kind: "ctxcheck"})
-	}
+	c := drawSumCampaign(4)
 	var mu sync.Mutex
 	startedIdx := map[int]bool{}
 	res, err := Run(context.Background(), reg, c, Options{
@@ -142,20 +134,19 @@ func TestJobHooks(t *testing.T) {
 			startedIdx[i] = true
 			mu.Unlock()
 		},
-		JobContext: func(ctx context.Context, i int, _ Spec) context.Context {
-			return context.WithValue(ctx, ctxKey{}, i*10)
+		OnResult: func(r JobResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			if !startedIdx[r.Index] {
+				t.Errorf("job %d finished before OnJobStart saw it", r.Index)
+			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(startedIdx) != 4 {
-		t.Fatalf("OnJobStart saw %d jobs, want 4", len(startedIdx))
-	}
-	for i, r := range res.Results {
-		if got, ok := r.Output.(int); !ok || got != i*10 {
-			t.Fatalf("job %d output %#v, want %d", i, r.Output, i*10)
-		}
+	if len(startedIdx) != 4 || res.Done != 4 {
+		t.Fatalf("OnJobStart saw %d jobs, %d done; want 4", len(startedIdx), res.Done)
 	}
 }
 

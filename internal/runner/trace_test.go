@@ -93,8 +93,8 @@ func TestSpansReconcileWithTimeline(t *testing.T) {
 		if a.Status != string(r.Status) || a.Worker < 0 || a.Worker >= 4 {
 			t.Errorf("job %d attrs %+v, result status %s", idx, a, r.Status)
 		}
-		if a.CPUMS != r.Resources.CPUMS || a.Allocs != r.Resources.Allocs || a.AllocBytes != r.Resources.AllocBytes ||
-			a.Cache != "" || a.Transitions != r.Resources.Transitions || a.Writebacks != r.Resources.Writebacks {
+		if a.CPUMS != r.Resources.CPUMS || a.Cache != "" || a.Transitions != r.Resources.Transitions ||
+			a.Writebacks != r.Resources.Writebacks || a.EnergyJ != r.Resources.EnergyJ {
 			t.Errorf("job %d attrs %+v do not reconcile with resources %+v", idx, a, *r.Resources)
 		}
 		if sp.DurNS < int64(r.Duration) {
@@ -275,8 +275,8 @@ func TestJobSpanAllocs(t *testing.T) {
 	ctx := tracez.ContextWith(context.Background(), tracez.New(sink))
 	spec := Spec{Kind: "fig4-cell", Name: "B/libquantum.s/DPCS"}
 	r := JobResult{Index: 397, Kind: spec.Kind, Name: spec.Name, Status: StatusFailed,
-		Error: "cpusim: run cancelled", Resources: &JobResources{CPUMS: 1234.567, Allocs: 123456,
-			AllocBytes: 98765432, CacheMiss: true, Transitions: 271, Writebacks: 1234567}}
+		Error: "cpusim: run cancelled", Resources: &JobResources{CPUMS: 1234.567, CacheMiss: true,
+			Transitions: 271, Writebacks: 1234567, EnergyJ: 0.0123456789}}
 	allocs := testing.AllocsPerRun(1000, func() {
 		_, sp := startJobSpan(ctx, r.Index, 7, spec, 0xfedcba9876543210)
 		endJobSpan(sp, &r, 4096)

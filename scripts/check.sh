@@ -39,15 +39,20 @@ check_due_inlined() {
 check_due_inlined cpusim 4
 check_due_inlined multicore 0
 
-# Tracing gates (DESIGN.md §11): the span API must cost nothing when a
-# campaign has nowhere to put spans (nil-tracer fast path); recording a
-# job span with its full attribute set to spans.jsonl must allocate at
-# most 4 times; and a campaign that records spans (8 workers, a run
+# Tracing gates (DESIGN.md §7, §11): the span API must cost nothing when
+# a campaign has nowhere to put spans (nil-tracer fast path); recording
+# a job span with its full attribute set to spans.jsonl must allocate
+# at most 4 times, and a DPCS tick that records its one dpcs.decision
+# instant at most 3; a campaign that records spans (8 workers, a run
 # directory) must write results.jsonl byte-identical to the records of
-# one that does not (1 worker, no directory, no sink).
+# one that does not (1 worker, no directory, no sink); and a traced
+# DPCS run's instants must reconcile exactly with the controllers' and
+# policies' counters, inside the phase-span taxonomy.
 go test -count=1 -run 'TestTracingOffZeroAllocs' ./internal/obs/tracez
 go test -count=1 -run 'TestJobSpanAllocs' ./internal/runner
+go test -count=1 -run 'TestDecisionInstantAllocs' ./internal/core
 go test -count=1 -run 'TestTracingDoesNotChangeResults' ./internal/runner
+go test -count=1 -run 'TestTimelineReconciliation|TestPhaseSpans' ./internal/cpusim
 
 # Arena/memo gates (DESIGN.md §13): analytical cells must stay at
 # <= 10 allocs/op once the memo layer is warm, warm (arena-reused)
