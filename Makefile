@@ -34,8 +34,8 @@ race:
 check: vet race
 
 # Benchmark snapshot: runs every benchmark (the figure pipelines in the
-# root bench_test.go, the policy-tick hot path, the metrics registry)
-# with allocation stats, archives the test2json stream as a new
+# root bench_test.go and the policy-tick hot path) with allocation
+# stats, archives the test2json stream as a new
 # BENCH_<date>.json (never clobbering an existing snapshot), and
 # prints the ns/op comparison against the most recent previous
 # snapshot. The snapshot records BENCHTIME/BENCHCOUNT so comparisons

@@ -44,9 +44,9 @@ func main() {
 		Version:   version.String(),
 	}
 	app.Register(
-		simCommand(os.Stdout),
-		sweepCommand(os.Stdout),
-		multicoreCommand(),
+		simCommand(os.Stdout, os.Stderr),
+		sweepCommand(os.Stdout, os.Stderr),
+		multicoreCommand(os.Stdout, os.Stderr),
 		analyticalCommand(os.Stdout),
 		bistCommand(),
 		traceCommand(os.Stdout),

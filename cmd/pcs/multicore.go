@@ -4,7 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -23,8 +23,9 @@ import (
 // shared, coherently-maintained, PCS-managed L2 — the old pcs-multicore
 // binary as a subcommand. The core-count × policy grid goes through the
 // same spec expansion the server uses, so a -spec file and the flag
-// form produce identical campaigns.
-func multicoreCommand() *cli.Command {
+// form produce identical campaigns. The table goes to stdout, progress
+// and the cell summary to stderr.
+func multicoreCommand(stdout, stderr io.Writer) *cli.Command {
 	var (
 		spec      string
 		coresFlag string
@@ -133,7 +134,7 @@ func multicoreCommand() *cli.Command {
 			}
 			if progress {
 				opts.OnProgress = func(p runner.Progress) {
-					fmt.Fprintf(os.Stderr, "pcs multicore: %d/%d done (%.2f jobs/s, ETA %s)\n",
+					fmt.Fprintf(stderr, "pcs multicore: %d/%d done (%.2f jobs/s, ETA %s)\n",
 						p.Completed(), p.Total, p.JobsPerSec, p.ETA.Round(1e8))
 				}
 			}
@@ -147,9 +148,9 @@ func multicoreCommand() *cli.Command {
 				}
 			}
 			if res.ArtifactDir != "" {
-				fmt.Fprintf(os.Stderr, "pcs multicore: records archived in %s\n", res.ArtifactDir)
+				fmt.Fprintf(stderr, "pcs multicore: records archived in %s\n", res.ArtifactDir)
 			}
-			fmt.Fprintf(os.Stderr, "pcs multicore: %d cells: %d cached, %d computed, %d failed\n",
+			fmt.Fprintf(stderr, "pcs multicore: %d cells: %d cached, %d computed, %d failed\n",
 				len(res.Results), res.Cached, res.Done-res.Cached, res.Failed)
 
 			w, _ := trace.ByName(ms.Bench)
@@ -177,9 +178,9 @@ func multicoreCommand() *cli.Command {
 				}
 			}
 			if jsonOut {
-				return t.RenderJSON(os.Stdout)
+				return t.RenderJSON(stdout)
 			}
-			return t.Render(os.Stdout)
+			return t.Render(stdout)
 		},
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/expers"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/version"
 )
@@ -98,7 +97,7 @@ func serveCommand() *cli.Command {
 				mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 				mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 			}
-			httpSrv := &http.Server{Addr: addr, Handler: obs.RequestLogger(logger, mux)}
+			httpSrv := &http.Server{Addr: addr, Handler: runner.RequestLogger(logger, mux)}
 
 			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 			defer stop()

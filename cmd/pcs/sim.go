@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -24,8 +23,9 @@ import (
 // workloads under baseline, SPCS and DPCS for system Configs A and B —
 // the old pcs-sim binary as a subcommand. -bench narrows the grid to
 // one workload and prints each cell's result lines instead of the
-// Fig. 4 tables. Results go to stdout, progress to stderr.
-func simCommand(stdout io.Writer) *cli.Command {
+// Fig. 4 tables. Results go to stdout; progress, the run directories
+// and the cell summary go to stderr.
+func simCommand(stdout, stderr io.Writer) *cli.Command {
 	var (
 		spec     string
 		cfgSel   string
@@ -120,7 +120,7 @@ func simCommand(stdout io.Writer) *cli.Command {
 
 			var progress io.Writer
 			if !quiet {
-				progress = os.Stderr
+				progress = stderr
 			}
 			cache, err := openCache(cacheDir)
 			if err != nil {
@@ -145,7 +145,7 @@ func simCommand(stdout io.Writer) *cli.Command {
 						return err
 					}
 					gopts.ArtifactDir = dir
-					fmt.Fprintf(os.Stderr, "pcs sim: config %s: recording campaign in %s\n", cfg.Name, dir)
+					fmt.Fprintf(stderr, "pcs sim: config %s: recording campaign in %s\n", cfg.Name, dir)
 				}
 				data, stats, err := expers.Fig4GridWorkloads(context.Background(), cfg, workloads, opts, gopts)
 				total.Cells += stats.Cells
@@ -177,7 +177,7 @@ func simCommand(stdout io.Writer) *cli.Command {
 			}
 			// Summary goes to stderr: stdout carries only the results,
 			// which golden files compare byte for byte.
-			fmt.Fprintf(os.Stderr, "pcs sim: %d cells: %d cached, %d computed, %d failed\n",
+			fmt.Fprintf(stderr, "pcs sim: %d cells: %d cached, %d computed, %d failed\n",
 				total.Cells, total.Cached, total.Computed, total.Failed)
 			return nil
 		},

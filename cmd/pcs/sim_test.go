@@ -55,10 +55,11 @@ func TestSimBenchPrintsDirectRun(t *testing.T) {
 // output.
 var dpcsCycles = regexp.MustCompile(`(?m)^A/bzip2\.s/DPCS: .* cycles=(\d+) `)
 
-// TestSimBenchRunsDir checks `pcs sim -bench -runs` writes a run
-// directory that `pcs verify` accepts and `pcs report -timeline`
-// renders: the DPCS cell's trajectory, and a residency per cache that
-// sums to the cell's measured cycles.
+// TestSimBenchRunsDir checks `pcs sim -bench -runs` names its run
+// directory and its cell summary on stderr, and writes a run directory
+// that `pcs verify` accepts and `pcs report -timeline` renders: the
+// DPCS cell's trajectory, and a residency per cache that sums to the
+// cell's measured cycles.
 func TestSimBenchRunsDir(t *testing.T) {
 	root := t.TempDir()
 	code, stdout, stderr := runCmd(simCommand, append(benchArgs, "-runs", root)...)
@@ -74,11 +75,15 @@ func TestSimBenchRunsDir(t *testing.T) {
 	if len(dirs) != 1 {
 		t.Fatalf("run directories %v, want one under fig4-A", dirs)
 	}
+	if want := "pcs sim: config A: recording campaign in " + dirs[0] + "\n" +
+		"pcs sim: 3 cells: 0 cached, 3 computed, 0 failed\n"; stderr != want {
+		t.Errorf("stderr %q, want %q", stderr, want)
+	}
 	if code, _, stderr := runVerify(dirs[0]); code != 0 {
 		t.Fatalf("verify: exit %d: %s", code, stderr)
 	}
 
-	code, out, stderr := runCmd(reportCommand, "-timeline", dirs[0])
+	code, out, stderr := runCmd(stdoutOnly(reportCommand), "-timeline", dirs[0])
 	if code != 0 {
 		t.Fatalf("report -timeline: exit %d: %s", code, stderr)
 	}
@@ -121,9 +126,9 @@ func noPolicyFiles(t *testing.T, root string) {
 	}
 }
 
-// TestSweepRunsDir checks a DPCS sweep with a run directory records
-// its decisions as spans that `pcs report -timeline` renders, and
-// writes no policy file.
+// TestSweepRunsDir checks a DPCS sweep with a run directory names it
+// and its cell summary on stderr, records its decisions as spans that
+// `pcs report -timeline` renders, and writes no policy file.
 func TestSweepRunsDir(t *testing.T) {
 	root := t.TempDir()
 	code, stdout, stderr := runCmd(sweepCommand, "-dpcs", "-instr", "200000", "-workers", "2", "-runs", root)
@@ -134,7 +139,11 @@ func TestSweepRunsDir(t *testing.T) {
 	if len(dirs) != 1 {
 		t.Fatalf("run directories %v, want one under dpcs", dirs)
 	}
-	code, out, stderr := runCmd(reportCommand, "-timeline", dirs[0])
+	if want := "pcs sweep: dpcs: records archived in " + dirs[0] + "\n" +
+		"pcs sweep: 10 cells: 0 cached, 10 computed, 0 failed\n"; stderr != want {
+		t.Errorf("stderr %q, want %q", stderr, want)
+	}
+	code, out, stderr := runCmd(stdoutOnly(reportCommand), "-timeline", dirs[0])
 	if code != 0 || !strings.Contains(out, "DPCS VDD residency") {
 		t.Fatalf("report -timeline: exit %d: %s%s", code, out, stderr)
 	}
@@ -145,12 +154,12 @@ func TestSweepRunsDir(t *testing.T) {
 // are unknown.
 func TestRemovedFlags(t *testing.T) {
 	for _, tc := range []struct {
-		cmd  func(io.Writer) *cli.Command
+		cmd  func(stdout, stderr io.Writer) *cli.Command
 		args []string
 	}{
 		{simCommand, []string{"-timeline", "tl.jsonl", "-bench", "mcf.s"}},
 		{sweepCommand, []string{"-timeline", "-runs", "runs"}},
-		{reportCommand, []string{"-clock", "3", "-timeline", "runs"}},
+		{stdoutOnly(reportCommand), []string{"-clock", "3", "-timeline", "runs"}},
 	} {
 		code, stdout, stderr := runCmd(tc.cmd, tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+tc.args[0]) {
@@ -175,7 +184,7 @@ func TestReportTimelineErrors(t *testing.T) {
 		filepath.Join(t.TempDir(), "nosuch"): tracez.FileName + ": no such file",
 		analytical:                           "no dpcs.decision instants",
 	} {
-		code, stdout, stderr := runCmd(reportCommand, "-timeline", dir)
+		code, stdout, stderr := runCmd(stdoutOnly(reportCommand), "-timeline", dir)
 		if code != 1 || stdout != "" || !strings.Contains(stderr, cause) {
 			t.Errorf("report -timeline %s: exit %d, stdout %q, stderr %q; want %q", dir, code, stdout, stderr, cause)
 		}

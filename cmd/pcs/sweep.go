@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -22,7 +21,7 @@ import (
 // canonical order (assoc, levels, cells, leakage, dpcs, ablate, mechs)
 // whichever way they are selected, so output stays comparable across
 // invocations. Tables go to stdout, progress and summaries to stderr.
-func sweepCommand(stdout io.Writer) *cli.Command {
+func sweepCommand(stdout, stderr io.Writer) *cli.Command {
 	var (
 		spec     string
 		study    = make(map[string]*bool, len(expers.StudyNames()))
@@ -123,6 +122,7 @@ func sweepCommand(stdout io.Writer) *cli.Command {
 			h := &sweepHarness{
 				reg:      expers.NewCampaignRegistry(),
 				stdout:   stdout,
+				stderr:   stderr,
 				workers:  workers,
 				jsonOut:  jsonOut,
 				runsRoot: runsRoot,
@@ -155,7 +155,7 @@ func sweepCommand(stdout io.Writer) *cli.Command {
 					return err
 				}
 			}
-			fmt.Fprintf(os.Stderr, "pcs sweep: %d cells: %d cached, %d computed, %d failed\n",
+			fmt.Fprintf(stderr, "pcs sweep: %d cells: %d cached, %d computed, %d failed\n",
 				h.cells, h.cached, h.computed, h.failed)
 			return nil
 		},
@@ -176,6 +176,7 @@ func contains(xs []string, want string) bool {
 type sweepHarness struct {
 	reg      *runner.Registry
 	stdout   io.Writer
+	stderr   io.Writer
 	workers  int
 	jsonOut  bool
 	runsRoot string
@@ -206,7 +207,7 @@ func (h *sweepHarness) runCampaign(name string, seed uint64, jobs []runner.Spec)
 	}
 	if h.progress {
 		opts.OnProgress = func(p runner.Progress) {
-			fmt.Fprintf(os.Stderr, "pcs sweep: %s: %d/%d done (%.1f jobs/s, ETA %s)\n",
+			fmt.Fprintf(h.stderr, "pcs sweep: %s: %d/%d done (%.1f jobs/s, ETA %s)\n",
 				name, p.Completed(), p.Total, p.JobsPerSec, p.ETA.Round(1e8))
 		}
 	}
@@ -224,7 +225,7 @@ func (h *sweepHarness) runCampaign(name string, seed uint64, jobs []runner.Spec)
 		}
 	}
 	if res.ArtifactDir != "" {
-		fmt.Fprintf(os.Stderr, "pcs sweep: %s: records archived in %s\n", name, res.ArtifactDir)
+		fmt.Fprintf(h.stderr, "pcs sweep: %s: records archived in %s\n", name, res.ArtifactDir)
 	}
 	return res.Results, nil
 }

@@ -20,13 +20,18 @@ import (
 
 // runCmd runs one pcs subcommand in process and returns its exit code,
 // stdout and stderr.
-func runCmd(cmd func(io.Writer) *cli.Command, args ...string) (int, string, string) {
+func runCmd(cmd func(stdout, stderr io.Writer) *cli.Command, args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
 	app := &cli.App{Name: "pcs", Output: &stderr}
-	c := cmd(&stdout)
+	c := cmd(&stdout, &stderr)
 	app.Register(c)
 	code := app.Run(append([]string{c.Name}, args...))
 	return code, stdout.String(), stderr.String()
+}
+
+// stdoutOnly adapts a command that writes only to stdout for runCmd.
+func stdoutOnly(cmd func(io.Writer) *cli.Command) func(stdout, stderr io.Writer) *cli.Command {
+	return func(stdout, _ io.Writer) *cli.Command { return cmd(stdout) }
 }
 
 // cellOutput reports a simulated energy to the runner, as the
@@ -124,12 +129,12 @@ func TestTopReadsJobSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, reportOut, stderr := runCmd(reportCommand, "-top", "-n", "0", dir)
+	code, reportOut, stderr := runCmd(stdoutOnly(reportCommand), "-top", "-n", "0", dir)
 	if code != 0 {
 		t.Fatalf("report -top: exit %d: %s", code, stderr)
 	}
 	checkRows(t, "report -top", reportOut)
-	code, topOut, stderr := runCmd(topCommand, "-n", "0", dir)
+	code, topOut, stderr := runCmd(stdoutOnly(topCommand), "-n", "0", dir)
 	if code != 0 {
 		t.Fatalf("top: exit %d: %s", code, stderr)
 	}
@@ -138,7 +143,7 @@ func TestTopReadsJobSpans(t *testing.T) {
 	}
 
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	code, stdout, stderr := runCmd(reportCommand, "-perfetto", "-o", trace, dir)
+	code, stdout, stderr := runCmd(stdoutOnly(reportCommand), "-perfetto", "-o", trace, dir)
 	if code != 0 {
 		t.Fatalf("report -perfetto: exit %d: %s", code, stderr)
 	}
@@ -212,7 +217,7 @@ func TestTopLive(t *testing.T) {
 		t.Fatalf("span stream: %d spans, err %v", len(spans), err)
 	}
 
-	code, stdout, stderr := runCmd(topCommand, "-addr", ts.URL, "-once", "-n", "0", sub.ID)
+	code, stdout, stderr := runCmd(stdoutOnly(topCommand), "-addr", ts.URL, "-once", "-n", "0", sub.ID)
 	if code != 0 {
 		t.Fatalf("top -addr: exit %d: %s", code, stderr)
 	}
@@ -239,12 +244,12 @@ func TestTopRunDirErrors(t *testing.T) {
 	}
 	missing := filepath.Join(t.TempDir(), "nosuch")
 	for _, tc := range []struct {
-		cmd  func(io.Writer) *cli.Command
+		cmd  func(stdout, stderr io.Writer) *cli.Command
 		args []string
 	}{
-		{reportCommand, []string{"-top"}},
-		{topCommand, nil},
-		{reportCommand, []string{"-perfetto"}},
+		{stdoutOnly(reportCommand), []string{"-top"}},
+		{stdoutOnly(topCommand), nil},
+		{stdoutOnly(reportCommand), []string{"-perfetto"}},
 	} {
 		for _, dir := range []string{missing, old} {
 			code, stdout, stderr := runCmd(tc.cmd, append(tc.args, dir)...)

@@ -4,9 +4,13 @@
 // multi-core study, or a raw campaign job list — independently of how
 // it is executed. The pcs CLI loads a spec with -spec and runs it
 // locally; POST /campaigns on a pcs serve instance accepts the same
-// document, decoded by the same Decode, and runs it through the same
-// registry, so local and remote runs are byte-identical from one
-// artifact.
+// document, decoded by the same Decode, and runs ExpandCampaign's jobs
+// through the same registry. For multicore, sweep and campaign
+// sections those are the jobs the CLI runs. A sim section is the
+// exception: the server runs "cpusim" jobs, while pcs sim runs the
+// same grid as "fig4-cell" jobs (expers.Fig4GridWorkloads), with a
+// different output type and store key, so the two paths never share a
+// result-store entry.
 //
 // # Document shape
 //

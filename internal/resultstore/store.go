@@ -7,23 +7,19 @@ import (
 	"time"
 )
 
-// Store is the accounting layer over a Backend: it tracks hit/miss/put
-// counters and an approximate byte total for metrics, and implements
-// the runner's ResultCache contract (Get/Put on string keys). All
-// methods are safe for concurrent use.
+// Store is the layer over a Backend that the runner's ResultCache
+// contract (Get/Put on string keys) and the cache commands use. It
+// keeps one piece of state, an approximate byte total for the server's
+// resultstore_bytes gauge (ScrapeSizeBytes). All methods are safe for
+// concurrent use.
 type Store struct {
 	backend Backend
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	puts      atomic.Uint64
-	putErrors atomic.Uint64
-	getErrors atomic.Uint64
-	// bytes/entries mirror the backend footprint; primed from Entries
-	// at construction and maintained on Put/GC. Concurrent external
-	// writers make these approximate, which is fine for a gauge.
-	bytes   atomic.Int64
-	entries atomic.Int64
+	// bytes mirrors the backend footprint: set by each scrape-time walk
+	// and by GC, and grown by Put in between. Concurrent external
+	// writers make it approximate until the next walk, which is fine for
+	// a gauge.
+	bytes atomic.Int64
 
 	// Scrape refresh state: ScrapeSizeBytes re-walks the backend at most
 	// once per scrapeTTL so the gauge converges on the true footprint
@@ -49,63 +45,36 @@ func Open(dir string) (*Store, error) {
 	return NewStore(b)
 }
 
-// NewStore wraps an arbitrary backend, priming the size accounting
-// from its current contents.
+// NewStore wraps an arbitrary backend. It reads nothing from it: the
+// first ScrapeSizeBytes walks the backend, and a backend that cannot
+// be read fails its Gets, which the runner recomputes. The error is
+// always nil.
 func NewStore(b Backend) (*Store, error) {
-	s := &Store{backend: b, scrapeTTL: defaultScrapeTTL}
-	infos, err := b.Entries()
-	if err != nil {
-		return nil, err
-	}
-	var bytes int64
-	for _, e := range infos {
-		bytes += e.Bytes
-	}
-	s.bytes.Store(bytes)
-	s.entries.Store(int64(len(infos)))
-	return s, nil
+	return &Store{backend: b, scrapeTTL: defaultScrapeTTL}, nil
 }
 
-// Get looks a key up, counting the hit or miss. Backend errors count as
-// misses (and are reported) so a flaky cache degrades to recomputation
-// rather than failing campaigns.
+// Get looks a key up. The runner treats an error as a miss, so a flaky
+// cache degrades to recomputation rather than failing campaigns.
 func (s *Store) Get(key string) ([]byte, bool, error) {
-	data, ok, err := s.backend.Get(key)
-	if err != nil {
-		s.getErrors.Add(1)
-		s.misses.Add(1)
-		return nil, false, err
-	}
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return data, ok, nil
+	return s.backend.Get(key)
 }
 
-// Put stores a computed result. Errors are counted and returned; the
-// runner treats them as best-effort (a failed Put never fails the job).
+// Put stores a computed result. The runner treats it as best effort (a
+// failed Put never fails the job).
 func (s *Store) Put(key string, data []byte) error {
 	if err := s.backend.Put(key, data); err != nil {
-		s.putErrors.Add(1)
 		return err
 	}
-	s.puts.Add(1)
 	s.bytes.Add(int64(len(data)))
-	s.entries.Add(1)
 	return nil
 }
 
-// SizeBytes returns the approximate stored byte total; the server's
-// resultstore_bytes gauge reads it at scrape time.
-func (s *Store) SizeBytes() int64 { return s.bytes.Load() }
-
-// ScrapeSizeBytes is SizeBytes with freshness: at most once per TTL it
-// re-walks the backend and re-primes the byte/entry accounting, so a
-// scraped gauge tracks external writers and cross-process GC instead of
-// drifting for the life of the server. Walk errors fall back to the
-// last known value — a metrics scrape must never fail a campaign.
+// ScrapeSizeBytes returns the approximate stored byte total: at most
+// once per TTL, the first call included, it re-walks the backend, so a
+// scraped gauge tracks external writers and cross-process GC instead
+// of drifting for the life of the server; in between it adds this
+// store's Puts to the last walk. Walk errors keep the last known value
+// — a metrics scrape must never fail a campaign.
 func (s *Store) ScrapeSizeBytes() int64 {
 	s.scrapeMu.Lock()
 	stale := time.Since(s.scrapeLast) >= s.scrapeTTL
@@ -114,53 +83,30 @@ func (s *Store) ScrapeSizeBytes() int64 {
 	}
 	s.scrapeMu.Unlock()
 	if stale {
-		if infos, err := s.backend.Entries(); err == nil {
-			var bytes int64
-			for _, e := range infos {
-				bytes += e.Bytes
-			}
-			s.bytes.Store(bytes)
-			s.entries.Store(int64(len(infos)))
+		if st, err := s.Stats(); err == nil {
+			s.bytes.Store(st.Bytes)
 		}
 	}
 	return s.bytes.Load()
 }
 
-// Stats is a point-in-time snapshot of the store. Entries/Bytes come
-// from an exact backend walk; the counters cover this process's
-// lifetime.
+// Stats is the store's exact footprint, from a backend walk.
 type Stats struct {
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Puts      uint64 `json:"puts"`
-	PutErrors uint64 `json:"put_errors"`
-	GetErrors uint64 `json:"get_errors"`
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
-// Stats walks the backend and returns exact entry/byte totals plus the
-// session counters (also re-priming the gauge accounting).
+// Stats walks the backend and returns its exact entry and byte totals.
 func (s *Store) Stats() (Stats, error) {
 	infos, err := s.backend.Entries()
 	if err != nil {
 		return Stats{}, err
 	}
-	var bytes int64
+	st := Stats{Entries: len(infos)}
 	for _, e := range infos {
-		bytes += e.Bytes
+		st.Bytes += e.Bytes
 	}
-	s.bytes.Store(bytes)
-	s.entries.Store(int64(len(infos)))
-	return Stats{
-		Entries:   len(infos),
-		Bytes:     bytes,
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Puts:      s.puts.Load(),
-		PutErrors: s.putErrors.Load(),
-		GetErrors: s.getErrors.Load(),
-	}, nil
+	return st, nil
 }
 
 // GCOptions bound a collection pass. Zero values mean "no bound on this
@@ -219,6 +165,5 @@ func (s *Store) GC(opts GCOptions) (GCResult, error) {
 		res.RemainingBytes -= e.Bytes
 	}
 	s.bytes.Store(res.RemainingBytes)
-	s.entries.Store(int64(res.Scanned - res.Removed))
 	return res, nil
 }

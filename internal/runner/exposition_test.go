@@ -1,4 +1,4 @@
-package obs
+package runner
 
 import (
 	"bufio"
@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"testing"
 )
 
 // expoFamily tracks one announced metric family during validation.
@@ -209,4 +210,43 @@ func labelValue(labels, key string) (string, bool) {
 // parseFloatValue parses a sample value, accepting +Inf/-Inf/NaN.
 func parseFloatValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
+}
+
+func TestValidateExpositionRejectsBadInput(t *testing.T) {
+	cases := map[string]string{
+		"sample without family": "loose_metric 1\n",
+		"duplicate TYPE":        "# HELP a x\n# TYPE a gauge\n# HELP a x\n# TYPE a gauge\na 1\n",
+		"non-monotonic histogram": strings.Join([]string{
+			"# HELP h x",
+			"# TYPE h histogram",
+			`h_bucket{le="1"} 5`,
+			`h_bucket{le="2"} 3`,
+			`h_bucket{le="+Inf"} 5`,
+			"h_sum 1",
+			"h_count 5",
+			"",
+		}, "\n"),
+		"missing +Inf bucket": strings.Join([]string{
+			"# HELP h x",
+			"# TYPE h histogram",
+			`h_bucket{le="1"} 5`,
+			"h_sum 1",
+			"h_count 5",
+			"",
+		}, "\n"),
+		"count mismatch": strings.Join([]string{
+			"# HELP h x",
+			"# TYPE h histogram",
+			`h_bucket{le="+Inf"} 4`,
+			"h_sum 1",
+			"h_count 5",
+			"",
+		}, "\n"),
+		"bad value": "# HELP a x\n# TYPE a gauge\na banana\n",
+	}
+	for name, in := range cases {
+		if err := ValidateExposition(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: expected validation error", name)
+		}
+	}
 }

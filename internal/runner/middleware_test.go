@@ -1,4 +1,4 @@
-package obs
+package runner
 
 import (
 	"bytes"

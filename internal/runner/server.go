@@ -13,8 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Server turns the campaign runner into an HTTP job service — the
@@ -64,8 +62,7 @@ type Server struct {
 	// requests finish.
 	draining atomic.Bool
 
-	log     *slog.Logger
-	metrics *serverMetrics
+	log *slog.Logger
 
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
@@ -90,90 +87,6 @@ type ServerOptions struct {
 	// CodeVersion is the build identity recorded in run ledgers and
 	// mixed into cache keys; see Options.CodeVersion.
 	CodeVersion string
-}
-
-// serverMetrics wires the server's obs.Registry families. Counters are
-// incremented as events happen (so they are true monotonic counters);
-// gauges are set from Snapshot at scrape time.
-type serverMetrics struct {
-	reg *obs.Registry
-
-	campaignsTotal *obs.Counter
-	jobsDone       *obs.Counter
-	jobsFailed     *obs.Counter
-	jobDuration    *obs.HistogramVec
-	jobErrors      *obs.CounterVec
-
-	campaignsRunning *obs.Gauge
-	jobsQueued       *obs.Gauge
-	jobsRunning      *obs.Gauge
-	workers          *obs.Gauge
-	utilization      *obs.Gauge
-	jobsPerSec       *obs.Gauge
-
-	// Result-store families; nil unless a cache is configured, so the
-	// exposition only carries them when they mean something.
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-}
-
-func newServerMetrics() *serverMetrics {
-	r := obs.NewRegistry()
-	m := &serverMetrics{
-		reg:            r,
-		campaignsTotal: r.Counter("pcs_campaigns_total", "Campaigns submitted since server start."),
-		campaignsRunning: r.Gauge("pcs_campaigns_running",
-			"Campaigns currently executing."),
-		jobsQueued:  r.Gauge("pcs_jobs_queued", "Jobs waiting for a worker."),
-		jobsRunning: r.Gauge("pcs_jobs_running", "Jobs currently executing."),
-		jobsDone:    r.Counter("pcs_jobs_done", "Jobs completed successfully."),
-		jobsFailed:  r.Counter("pcs_jobs_failed", "Jobs that returned an error or panicked."),
-		workers:     r.Gauge("pcs_workers", "Configured workers across running campaigns."),
-		utilization: r.Gauge("pcs_worker_utilization", "Running jobs per configured worker."),
-		jobsPerSec:  r.Gauge("pcs_jobs_per_second", "Aggregate job completion rate."),
-		jobDuration: r.HistogramVec("pcs_job_duration_seconds",
-			"Job wall-clock duration by campaign kind.", "kind", nil),
-		jobErrors: r.CounterVec("pcs_job_errors_total",
-			"Failed jobs by campaign kind.", "kind"),
-	}
-	// Quantile summary lines derived from the histogram buckets at
-	// scrape time, so dashboards get p50/p95/p99 without PromQL.
-	for _, q := range []struct {
-		name string
-		q    float64
-	}{
-		{"pcs_job_duration_seconds_p50", 0.50},
-		{"pcs_job_duration_seconds_p95", 0.95},
-		{"pcs_job_duration_seconds_p99", 0.99},
-	} {
-		quant := q.q
-		r.GaugeVecFunc(q.name,
-			fmt.Sprintf("Job duration quantile (q=%g) by kind, interpolated from pcs_job_duration_seconds buckets at scrape time.", quant),
-			"kind", func() map[string]float64 { return m.jobDuration.Quantiles(quant) })
-	}
-	return m
-}
-
-// enableCache registers the result-store families. The bytes gauge is
-// scrape-time: caches exposing ScrapeSizeBytes (resultstore.Store
-// does) re-walk the backend on scrape — so external writers to a
-// shared store show up — with plain SizeBytes (write-maintained) as
-// the fallback; others report 0.
-func (m *serverMetrics) enableCache(cache ResultCache) {
-	m.cacheHits = m.reg.Counter("resultstore_hits_total",
-		"Campaign cells served from the content-addressed result store.")
-	m.cacheMisses = m.reg.Counter("resultstore_misses_total",
-		"Campaign cells computed because the result store had no entry.")
-	m.reg.GaugeFunc("resultstore_bytes",
-		"Bytes stored in the result store, refreshed on scrape.", func() float64 {
-			if fresh, ok := cache.(interface{ ScrapeSizeBytes() int64 }); ok {
-				return float64(fresh.ScrapeSizeBytes())
-			}
-			if sized, ok := cache.(interface{ SizeBytes() int64 }); ok {
-				return float64(sized.SizeBytes())
-			}
-			return 0
-		})
 }
 
 // campaignState tracks one submitted campaign.
@@ -229,10 +142,6 @@ func NewServer(reg *Registry, expand func(body []byte) (Campaign, int, error), o
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	metrics := newServerMetrics()
-	if opts.Cache != nil {
-		metrics.enableCache(opts.Cache)
-	}
 	return &Server{
 		reg:            reg,
 		defaultWorkers: opts.DefaultWorkers,
@@ -243,7 +152,6 @@ func NewServer(reg *Registry, expand func(body []byte) (Campaign, int, error), o
 		baseCtx:        ctx,
 		stop:           cancel,
 		log:            log,
-		metrics:        metrics,
 		campaigns:      make(map[string]*campaignState),
 		started:        time.Now(),
 	}
@@ -383,7 +291,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, cs.id)
 	s.mu.Unlock()
 
-	s.metrics.campaignsTotal.Inc()
 	s.log.Info("campaign submitted",
 		"id", cs.id, "name", camp.Name, "jobs", len(camp.Jobs), "workers", workers)
 
@@ -404,17 +311,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) execute(ctx context.Context, cs *campaignState) {
 	defer s.wg.Done()
 	defer cs.cancel()
-	// Resolve the per-kind metric series once up front: With takes the
-	// family lock, so calling it per job result would contend with the
-	// scrape path on large campaigns.
-	durationByKind := make(map[string]*obs.Histogram)
-	errorsByKind := make(map[string]*obs.Counter)
-	for _, spec := range cs.campaign.Jobs {
-		if _, ok := durationByKind[spec.Kind]; !ok {
-			durationByKind[spec.Kind] = s.metrics.jobDuration.With(spec.Kind)
-			errorsByKind[spec.Kind] = s.metrics.jobErrors.With(spec.Kind)
-		}
-	}
 	opts := Options{
 		Workers: cs.workers,
 		OnProgress: func(p Progress) {
@@ -426,22 +322,6 @@ func (s *Server) execute(ctx context.Context, cs *campaignState) {
 			cs.mu.Lock()
 			cs.results[r.Index] = &r
 			cs.mu.Unlock()
-			switch r.Status {
-			case StatusDone:
-				s.metrics.jobsDone.Inc()
-				if s.metrics.cacheHits != nil {
-					if r.Cached {
-						s.metrics.cacheHits.Inc()
-					} else {
-						s.metrics.cacheMisses.Inc()
-					}
-				}
-				durationByKind[r.Kind].Observe(r.Duration.Seconds())
-			case StatusFailed:
-				s.metrics.jobsFailed.Inc()
-				errorsByKind[r.Kind].Inc()
-				durationByKind[r.Kind].Observe(r.Duration.Seconds())
-			}
 		},
 		SpanSink:    cs,
 		Cache:       s.cache,
@@ -643,85 +523,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	cs.cancel()
 	s.log.Info("campaign cancel requested", "id", cs.id)
 	s.writeJSONResponse(w, map[string]string{"id": cs.id, "state": "cancelling"})
-}
-
-// Metrics is a snapshot of the server's aggregate gauges.
-type Metrics struct {
-	CampaignsTotal   int
-	CampaignsRunning int
-	JobsQueued       int
-	JobsRunning      int
-	JobsDone         int
-	JobsFailed       int
-	Workers          int
-	// Utilization is running jobs over configured workers of running
-	// campaigns, in [0, 1].
-	Utilization float64
-	// JobsPerSec aggregates the completion rate of running campaigns;
-	// when idle it falls back to the lifetime average.
-	JobsPerSec float64
-}
-
-// Snapshot computes the current metrics.
-func (s *Server) Snapshot() Metrics {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-
-	var m Metrics
-	var lifetimeDone int
-	var runningRate float64
-	for _, id := range ids {
-		cs := s.lookup(id)
-		if cs == nil {
-			continue
-		}
-		cs.mu.Lock()
-		m.CampaignsTotal++
-		done := cs.progress.Done
-		failed := cs.progress.Failed
-		running := cs.progress.Running
-		completed := cs.progress.Completed()
-		total := cs.progress.Total
-		lifetimeDone += completed
-		if cs.state == "running" {
-			m.CampaignsRunning++
-			m.JobsRunning += running
-			m.JobsQueued += total - completed - running
-			m.Workers += cs.workers
-			runningRate += cs.progress.JobsPerSec
-		}
-		m.JobsDone += done
-		m.JobsFailed += failed
-		cs.mu.Unlock()
-	}
-	if m.Workers > 0 {
-		m.Utilization = float64(m.JobsRunning) / float64(m.Workers)
-	}
-	m.JobsPerSec = runningRate
-	if m.CampaignsRunning == 0 {
-		if secs := time.Since(s.started).Seconds(); secs > 0 {
-			m.JobsPerSec = float64(lifetimeDone) / secs
-		}
-	}
-	return m
-}
-
-// handleMetrics renders the obs registry: the monotonic counters are
-// maintained event-driven; the point-in-time gauges are refreshed from
-// Snapshot at scrape time.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.Snapshot()
-	s.metrics.campaignsRunning.Set(float64(m.CampaignsRunning))
-	s.metrics.jobsQueued.Set(float64(m.JobsQueued))
-	s.metrics.jobsRunning.Set(float64(m.JobsRunning))
-	s.metrics.workers.Set(float64(m.Workers))
-	s.metrics.utilization.Set(m.Utilization)
-	s.metrics.jobsPerSec.Set(m.JobsPerSec)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.metrics.reg.WritePrometheus(w); err != nil {
-		s.log.Warn("write metrics", "err", err)
-	}
 }
 
 // Kinds returns the sorted kind names the server accepts, for startup

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
@@ -41,7 +39,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	// Idle scrape must already be valid (all families render at zero).
 	idle := scrapeMetrics(t, ts)
-	if err := obs.ValidateExposition(strings.NewReader(idle)); err != nil {
+	if err := ValidateExposition(strings.NewReader(idle)); err != nil {
 		t.Fatalf("idle exposition invalid: %v\n%s", err, idle)
 	}
 
@@ -53,7 +51,7 @@ func TestMetricsExposition(t *testing.T) {
 	waitForState(t, ts, id, "done")
 
 	out := scrapeMetrics(t, ts)
-	if err := obs.ValidateExposition(strings.NewReader(out)); err != nil {
+	if err := ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, out)
 	}
 	// The satellite fix: submission and terminal-job totals are counters,
@@ -86,7 +84,7 @@ func TestMetricsCountFailures(t *testing.T) {
 	waitForState(t, ts, id, "done")
 
 	out := scrapeMetrics(t, ts)
-	if err := obs.ValidateExposition(strings.NewReader(out)); err != nil {
+	if err := ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, out)
 	}
 	for _, want := range []string{

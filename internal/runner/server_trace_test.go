@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 )
 
@@ -68,6 +67,21 @@ func TestServerSpansStreamConcurrent(t *testing.T) {
 			spanStreams[r] = readSpanStream(t, ts, id)
 		}(r)
 	}
+	// A scrape while the campaign runs reads the records its workers
+	// are writing (checked under -race).
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		if err := ValidateExposition(resp.Body); err != nil {
+			t.Errorf("exposition during the campaign invalid: %v", err)
+		}
+	}()
 	wg.Wait()
 
 	for r, spans := range spanStreams {
@@ -87,7 +101,7 @@ func TestServerSpansStreamConcurrent(t *testing.T) {
 	// The scrape now carries quantile summary gauges next to the raw
 	// histogram, and the whole exposition still validates.
 	out := scrapeMetrics(t, ts)
-	if err := obs.ValidateExposition(strings.NewReader(out)); err != nil {
+	if err := ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, out)
 	}
 	for _, want := range []string{

@@ -1,5 +1,5 @@
 // Package stats provides deterministic pseudo-random number generation,
-// sampling from common distributions, and summary statistics.
+// sampling from the distributions the simulator draws from, and a mean.
 //
 // Every stochastic component of the simulator (SRAM cell Vmin draws,
 // synthetic workload generators, fault placement) draws from an explicitly
@@ -32,9 +32,6 @@ import (
 // call overhead is measurable on the block-simulation hot path.
 type RNG struct {
 	s0, s1, s2, s3 uint64
-	// cached spare normal deviate for Box-Muller
-	haveSpare bool
-	spare     float64
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -55,12 +52,11 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Reseed resets r in place to the state NewRNG(seed) would construct,
-// clearing any cached Box-Muller deviate. Arena-style reuse calls it so
-// a long-lived RNG value reproduces a freshly constructed generator
-// draw for draw without allocating: after r.Reseed(s), r's stream is
-// identical to NewRNG(s)'s, and r.Reseed(parent.Uint64()) reproduces
-// parent.Split() exactly.
+// Reseed resets r in place to the state NewRNG(seed) would construct.
+// Arena-style reuse calls it so a long-lived RNG value reproduces a
+// freshly constructed generator draw for draw without allocating:
+// after r.Reseed(s), r's stream is identical to NewRNG(s)'s, and
+// r.Reseed(parent.Uint64()) reproduces parent.Split() exactly.
 func (r *RNG) Reseed(seed uint64) {
 	sm := seed
 	r.s0 = splitMix64(&sm)
@@ -71,8 +67,6 @@ func (r *RNG) Reseed(seed uint64) {
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
 		r.s0 = 0x9e3779b97f4a7c15
 	}
-	r.haveSpare = false
-	r.spare = 0
 }
 
 // Uint64 returns the next 64 uniformly distributed bits. It is written
@@ -149,38 +143,6 @@ func (r *RNG) Bool(p float64) bool {
 	return p > 0 && (p >= 1 || r.Float64() < p)
 }
 
-// Normal returns a draw from the normal distribution with the given mean
-// and standard deviation, using the Box-Muller transform (polar form).
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	if r.haveSpare {
-		r.haveSpare = false
-		return mean + stddev*r.spare
-	}
-	var u, v, s float64
-	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
-		}
-	}
-	m := math.Sqrt(-2 * math.Log(s) / s)
-	r.spare = v * m
-	r.haveSpare = true
-	return mean + stddev*u*m
-}
-
-// Exponential returns a draw from the exponential distribution with the
-// given rate parameter lambda (> 0).
-func (r *RNG) Exponential(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("stats: Exponential called with lambda <= 0")
-	}
-	// 1-Float64() is in (0,1], avoiding log(0).
-	return -math.Log(1-r.Float64()) / lambda
-}
-
 // Geometric returns a draw from the geometric distribution: the number of
 // Bernoulli(p) failures before the first success. p must be in (0, 1].
 func (r *RNG) Geometric(p float64) int {
@@ -221,17 +183,4 @@ func (r *RNG) Binomial(n int, p float64) int {
 		count++
 	}
 	return count
-}
-
-// Perm returns a random permutation of [0, n) via Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

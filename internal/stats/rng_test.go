@@ -126,43 +126,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := NewRNG(10)
-	const n = 200000
-	mean, m2 := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := r.Normal(3, 2)
-		mean += x
-		m2 += x * x
-	}
-	mean /= n
-	variance := m2/n - mean*mean
-	if math.Abs(mean-3) > 0.03 {
-		t.Errorf("normal mean %v, want ~3", mean)
-	}
-	if math.Abs(variance-4) > 0.1 {
-		t.Errorf("normal variance %v, want ~4", variance)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(11)
-	const lambda = 2.0
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		x := r.Exponential(lambda)
-		if x < 0 {
-			t.Fatalf("negative exponential draw %v", x)
-		}
-		sum += x
-	}
-	mean := sum / n
-	if math.Abs(mean-1/lambda) > 0.01 {
-		t.Errorf("exponential mean %v, want ~%v", mean, 1/lambda)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := NewRNG(12)
 	const p = 0.2
@@ -233,43 +196,5 @@ func TestBinomialHighP(t *testing.T) {
 	mean := sum / draws
 	if math.Abs(mean-45) > 0.2 {
 		t.Errorf("Binomial(50,0.9) mean %v, want ~45", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(17)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermShuffles(t *testing.T) {
-	r := NewRNG(18)
-	identity := 0
-	for i := 0; i < 100; i++ {
-		p := r.Perm(20)
-		same := true
-		for j, v := range p {
-			if v != j {
-				same = false
-				break
-			}
-		}
-		if same {
-			identity++
-		}
-	}
-	if identity > 1 {
-		t.Errorf("identity permutation appeared %d/100 times", identity)
 	}
 }

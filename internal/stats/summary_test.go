@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -22,148 +21,6 @@ func TestMean(t *testing.T) {
 		if got := Mean(c.in); !almostEq(got, c.want, 1e-12) {
 			t.Errorf("Mean(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); !almostEq(got, 4, 1e-12) {
-		t.Errorf("GeoMean(2,8) = %v", got)
-	}
-	if got := GeoMean([]float64{3, 3, 3}); !almostEq(got, 3, 1e-12) {
-		t.Errorf("GeoMean(3,3,3) = %v", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v", got)
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("GeoMean with zero did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestGeoMeanLeqMean(t *testing.T) {
-	// AM-GM inequality as a property test.
-	r := NewRNG(1)
-	if err := quick.Check(func(seed uint32) bool {
-		rr := NewRNG(uint64(seed))
-		_ = r
-		n := rr.Intn(20) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rr.Float64() + 0.01
-		}
-		return GeoMean(xs) <= Mean(xs)+1e-9
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEq(got, 2.13808993, 1e-6) {
-		t.Errorf("StdDev = %v", got)
-	}
-	if got := StdDev([]float64{3}); got != 0 {
-		t.Errorf("StdDev of one value = %v", got)
-	}
-	if got := StdDev(nil); got != 0 {
-		t.Errorf("StdDev(nil) = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {10, 1.4},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEq(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	Percentile(xs, 50)
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Errorf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("Summarize(nil) should be zero")
-	}
-	if s.String() == "" {
-		t.Error("Summary.String empty")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(100)
-	for i, b := range h.Buckets {
-		if b != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, b)
-		}
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 13 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramEdges(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0) // lowest edge goes in bucket 0
-	if h.Buckets[0] != 1 {
-		t.Errorf("lower edge not in bucket 0: %+v", h)
-	}
-	h.Add(0.999999999)
-	if h.Buckets[3] != 1 {
-		t.Errorf("near-top value not in last bucket: %+v", h)
-	}
-}
-
-func TestHistogramInvalidBounds(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(1, 0, 4) },
-		func() { NewHistogram(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid histogram did not panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -30,7 +30,7 @@ rev=$(git describe --always --dirty 2>/dev/null || echo unknown)
 printf '{"bench_meta":{"benchtime":"%s","count":%s,"nproc":%s,"gomaxprocs":%s,"rev":"%s"}}\n' \
 	"$BENCHTIME" "$BENCHCOUNT" "$nproc" "${GOMAXPROCS:-$nproc}" "$rev" > "$tmp"
 go test -run '^$' -bench . -benchtime "$BENCHTIME" -count "$BENCHCOUNT" -benchmem -json \
-	. ./internal/core ./internal/obs >> "$tmp"
+	. ./internal/core >> "$tmp"
 
 out="BENCH_$(date +%Y%m%d).json"
 i=2

@@ -15,14 +15,19 @@ go build ./...
 go test -race ./...
 
 # Hot-path allocation regression gates: a cache demand access and a
-# steady-state DPCS policy tick must stay at 0 allocs/op, the batched
-# simulator inner loop must simulate a whole block without heap
-# allocation, and the metric observation paths must be allocation-free
-# once the series handle is resolved.
+# steady-state DPCS policy tick must stay at 0 allocs/op, and the
+# batched simulator inner loop must simulate a whole block without heap
+# allocation.
 go test -count=1 -run 'TestAccessZeroAllocs' ./internal/cache
 go test -count=1 -run 'TestPolicyTickZeroAllocs' ./internal/core
 go test -count=1 -run 'TestBlockLoopZeroAllocs' ./internal/cpusim
-go test -count=1 -run 'TestHotPathMetricsAllocFree' ./internal/obs
+
+# Server metrics gates: /metrics, computed at scrape time from the
+# server's campaign records, must render fixed records as the golden
+# exposition (families, order, HELP/TYPE, buckets, formatting), and a
+# campaign re-run against a result store must count only done jobs
+# that consulted the store as hits or misses.
+go test -count=1 -run 'TestMetricsExpositionGolden|TestMetricsCacheOutcomes' ./internal/runner
 
 # Tick-gate inlining gate (DESIGN.md §12.2): the per-access policy gate,
 # core.(*Controller).Due, must be inlined at every hot-path site of the
@@ -100,7 +105,7 @@ go test -run '^$' -bench 'BenchmarkCampaignCellThroughput' -benchtime 1x . > /de
 # Short-mode benchmark smoke run: one iteration of every benchmark so a
 # crashing or pathologically slow benchmark fails the gate; timings are
 # not archived here (that is `make bench`).
-go test -short -run '^$' -bench . -benchtime 1x -benchmem . ./internal/core ./internal/obs > /dev/null
+go test -short -run '^$' -bench . -benchtime 1x -benchmem . ./internal/core > /dev/null
 
 # Throughput regression gate: an A/B run of the simulator benchmark on
 # this host, the working tree against its base commit; fails when the
