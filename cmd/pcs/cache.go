@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -30,8 +31,10 @@ func openCache(dir string) (runner.ResultCache, error) {
 //	pcs cache gc [-cache DIR] [-max-bytes N] [-max-age DUR]
 //
 // The action comes first so its flags can follow it; the cache
-// directory also defaults from PCS_CACHE.
-func cacheCommand() *cli.Command {
+// directory also defaults from PCS_CACHE. Both actions read an
+// existing store and fail, creating nothing, when DIR is missing.
+// Reports go to stdout.
+func cacheCommand(stdout io.Writer) *cli.Command {
 	return &cli.Command{
 		Name:    "cache",
 		Summary: "inspect or prune the content-addressed result store",
@@ -41,8 +44,11 @@ func cacheCommand() *cli.Command {
 				return fmt.Errorf("need an action: stats or gc")
 			}
 			action := fs.Arg(0)
+			if action != "stats" && action != "gc" {
+				return fmt.Errorf("unknown action %q (want stats or gc)", action)
+			}
 			sub := flag.NewFlagSet("pcs cache "+action, flag.ContinueOnError)
-			sub.SetOutput(os.Stderr)
+			sub.SetOutput(fs.Output())
 			defaultDir := os.Getenv("PCS_CACHE")
 			if defaultDir == "" {
 				defaultDir = resultstore.DefaultDirName
@@ -58,32 +64,33 @@ func cacheCommand() *cli.Command {
 				}
 				return err
 			}
+			if action == "gc" && *maxBytes == 0 && *maxAge == 0 {
+				return fmt.Errorf("gc needs -max-bytes and/or -max-age")
+			}
+			// resultstore.Open creates a missing directory, as the
+			// campaign commands' -cache wants; these actions must not.
+			if _, err := os.Stat(*dir); err != nil {
+				return err
+			}
 			store, err := resultstore.Open(*dir)
 			if err != nil {
 				return err
 			}
-			switch action {
-			case "stats":
+			if action == "stats" {
 				st, err := store.Stats()
 				if err != nil {
 					return err
 				}
-				fmt.Printf("cache %s: %d entries, %d bytes\n", *dir, st.Entries, st.Bytes)
+				fmt.Fprintf(stdout, "cache %s: %d entries, %d bytes\n", *dir, st.Entries, st.Bytes)
 				return nil
-			case "gc":
-				if *maxBytes == 0 && *maxAge == 0 {
-					return fmt.Errorf("gc needs -max-bytes and/or -max-age")
-				}
-				res, err := store.GC(resultstore.GCOptions{MaxBytes: *maxBytes, MaxAge: *maxAge})
-				if err != nil {
-					return err
-				}
-				fmt.Printf("cache %s: scanned %d, removed %d entries (%d bytes), %d bytes remain\n",
-					*dir, res.Scanned, res.Removed, res.RemovedBytes, res.RemainingBytes)
-				return nil
-			default:
-				return fmt.Errorf("unknown action %q (want stats or gc)", action)
 			}
+			res, err := store.GC(resultstore.GCOptions{MaxBytes: *maxBytes, MaxAge: *maxAge})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "cache %s: scanned %d, removed %d entries (%d bytes), %d bytes remain\n",
+				*dir, res.Scanned, res.Removed, res.RemovedBytes, res.RemainingBytes)
+			return nil
 		},
 	}
 }

@@ -51,11 +51,11 @@ func main() {
 		bistCommand(),
 		traceCommand(os.Stdout),
 		figuresCommand(),
-		reportCommand(os.Stdout),
+		reportCommand(os.Stdout, os.Stderr),
 		serveCommand(),
 		topCommand(os.Stdout),
-		verifyCommand(os.Stdout),
-		cacheCommand(),
+		verifyCommand(os.Stdout, os.Stderr),
+		cacheCommand(os.Stdout),
 	)
 	os.Exit(app.Run(os.Args[1:]))
 }

@@ -34,7 +34,7 @@ import (
 // loadable in Perfetto / chrome://tracing, and -top RUNDIR renders the
 // run's per-cell resource attribution from its job spans. Tables and
 // messages go to stdout, progress to stderr.
-func reportCommand(stdout io.Writer) *cli.Command {
+func reportCommand(stdout, stderr io.Writer) *cli.Command {
 	var (
 		out      string
 		instr    uint64
@@ -80,7 +80,7 @@ func reportCommand(stdout io.Writer) *cli.Command {
 				}
 				return renderTopCells(stdout, dir, sortKey, topN)
 			}
-			return writeReport(stdout, out, instr)
+			return writeReport(stdout, stderr, out, instr)
 		},
 	}
 }
@@ -134,7 +134,7 @@ func renderTopCells(stdout io.Writer, dir, sortKey string, n int) error {
 	return report.KindSummaryTable(cells).Render(stdout)
 }
 
-func writeReport(stdout io.Writer, out string, instr uint64) (err error) {
+func writeReport(stdout, stderr io.Writer, out string, instr uint64) (err error) {
 	f, err := os.Create(out)
 	if err != nil {
 		return err
@@ -234,8 +234,8 @@ func writeReport(stdout io.Writer, out string, instr uint64) (err error) {
 	section("Fig. 4 — simulation (16 benchmarks x baseline/SPCS/DPCS)")
 	opts := cpusim.RunOptions{WarmupInstr: maxU(instr/12, 500_000), SimInstr: instr, Seed: 1}
 	for _, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
-		fmt.Fprintf(os.Stderr, "simulating Config %s (%d instr x 48 runs)...\n", cfg.Name, instr)
-		data, _, err := expers.Fig4Grid(context.Background(), cfg, opts, expers.GridOptions{Progress: os.Stderr})
+		fmt.Fprintf(stderr, "simulating Config %s (%d instr x 48 runs)...\n", cfg.Name, instr)
+		data, _, err := expers.Fig4Grid(context.Background(), cfg, opts, expers.GridOptions{Progress: stderr})
 		if err != nil {
 			return err
 		}

@@ -83,7 +83,7 @@ func TestSimBenchRunsDir(t *testing.T) {
 		t.Fatalf("verify: exit %d: %s", code, stderr)
 	}
 
-	code, out, stderr := runCmd(stdoutOnly(reportCommand), "-timeline", dirs[0])
+	code, out, stderr := runCmd(reportCommand, "-timeline", dirs[0])
 	if code != 0 {
 		t.Fatalf("report -timeline: exit %d: %s", code, stderr)
 	}
@@ -143,7 +143,7 @@ func TestSweepRunsDir(t *testing.T) {
 		"pcs sweep: 10 cells: 0 cached, 10 computed, 0 failed\n"; stderr != want {
 		t.Errorf("stderr %q, want %q", stderr, want)
 	}
-	code, out, stderr := runCmd(stdoutOnly(reportCommand), "-timeline", dirs[0])
+	code, out, stderr := runCmd(reportCommand, "-timeline", dirs[0])
 	if code != 0 || !strings.Contains(out, "DPCS VDD residency") {
 		t.Fatalf("report -timeline: exit %d: %s%s", code, out, stderr)
 	}
@@ -159,7 +159,7 @@ func TestRemovedFlags(t *testing.T) {
 	}{
 		{simCommand, []string{"-timeline", "tl.jsonl", "-bench", "mcf.s"}},
 		{sweepCommand, []string{"-timeline", "-runs", "runs"}},
-		{stdoutOnly(reportCommand), []string{"-clock", "3", "-timeline", "runs"}},
+		{reportCommand, []string{"-clock", "3", "-timeline", "runs"}},
 	} {
 		code, stdout, stderr := runCmd(tc.cmd, tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+tc.args[0]) {
@@ -184,7 +184,7 @@ func TestReportTimelineErrors(t *testing.T) {
 		filepath.Join(t.TempDir(), "nosuch"): tracez.FileName + ": no such file",
 		analytical:                           "no dpcs.decision instants",
 	} {
-		code, stdout, stderr := runCmd(stdoutOnly(reportCommand), "-timeline", dir)
+		code, stdout, stderr := runCmd(reportCommand, "-timeline", dir)
 		if code != 1 || stdout != "" || !strings.Contains(stderr, cause) {
 			t.Errorf("report -timeline %s: exit %d, stdout %q, stderr %q; want %q", dir, code, stdout, stderr, cause)
 		}

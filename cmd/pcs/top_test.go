@@ -129,7 +129,7 @@ func TestTopReadsJobSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, reportOut, stderr := runCmd(stdoutOnly(reportCommand), "-top", "-n", "0", dir)
+	code, reportOut, stderr := runCmd(reportCommand, "-top", "-n", "0", dir)
 	if code != 0 {
 		t.Fatalf("report -top: exit %d: %s", code, stderr)
 	}
@@ -143,7 +143,7 @@ func TestTopReadsJobSpans(t *testing.T) {
 	}
 
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	code, stdout, stderr := runCmd(stdoutOnly(reportCommand), "-perfetto", "-o", trace, dir)
+	code, stdout, stderr := runCmd(reportCommand, "-perfetto", "-o", trace, dir)
 	if code != 0 {
 		t.Fatalf("report -perfetto: exit %d: %s", code, stderr)
 	}
@@ -247,9 +247,9 @@ func TestTopRunDirErrors(t *testing.T) {
 		cmd  func(stdout, stderr io.Writer) *cli.Command
 		args []string
 	}{
-		{stdoutOnly(reportCommand), []string{"-top"}},
+		{reportCommand, []string{"-top"}},
 		{stdoutOnly(topCommand), nil},
-		{stdoutOnly(reportCommand), []string{"-perfetto"}},
+		{reportCommand, []string{"-perfetto"}},
 	} {
 		for _, dir := range []string{missing, old} {
 			code, stdout, stderr := runCmd(tc.cmd, append(tc.args, dir)...)

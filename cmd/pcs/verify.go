@@ -22,8 +22,8 @@ import (
 // results.jsonl line, and the sidecar manifest/summary must agree with
 // the chain. With -recompute N it additionally re-executes a sampled
 // subset of the recorded cells with their recorded seeds and demands
-// bit-identical output. The report goes to stdout.
-func verifyCommand(stdout io.Writer) *cli.Command {
+// bit-identical output. The report goes to stdout, warnings to stderr.
+func verifyCommand(stdout, stderr io.Writer) *cli.Command {
 	var recompute int
 	return &cli.Command{
 		Name:    "verify",
@@ -53,7 +53,7 @@ func verifyCommand(stdout io.Writer) *cli.Command {
 				fmt.Fprintf(stdout, "  sidecar %s: %d bytes, digest %s\n", sc.Name, sc.Bytes, sc.Digest)
 			}
 			if recompute > 0 {
-				if err := recomputeSample(stdout, dir, rep, recompute); err != nil {
+				if err := recomputeSample(stdout, stderr, dir, rep, recompute); err != nil {
 					return err
 				}
 			}
@@ -74,7 +74,7 @@ func orUnknown(s string) string {
 // the marshalled output byte for byte against the "output" field of the
 // corresponding results.jsonl line. Sampling is deterministic: evenly
 // spaced over the done jobs in index order.
-func recomputeSample(stdout io.Writer, dir string, rep *ledger.Report, n int) error {
+func recomputeSample(stdout, stderr io.Writer, dir string, rep *ledger.Report, n int) error {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return err
@@ -111,7 +111,7 @@ func recomputeSample(stdout io.Writer, dir string, rep *ledger.Report, n int) er
 		n = len(done)
 	}
 	if v := version.String(); rep.Manifest.CodeVersion != "" && rep.Manifest.CodeVersion != v {
-		fmt.Fprintf(os.Stderr, "pcs verify: warning: run was produced by code version %s, this binary is %s — recomputation may legitimately differ\n",
+		fmt.Fprintf(stderr, "pcs verify: warning: run was produced by code version %s, this binary is %s — recomputation may legitimately differ\n",
 			rep.Manifest.CodeVersion, v)
 	}
 

@@ -23,7 +23,7 @@ import (
 func runVerify(args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
 	app := &cli.App{Name: "pcs", Output: &stderr}
-	app.Register(verifyCommand(&stdout))
+	app.Register(verifyCommand(&stdout, &stderr))
 	code := app.Run(append([]string{"verify"}, args...))
 	return code, stdout.String(), stderr.String()
 }
@@ -80,7 +80,7 @@ func TestVerifyRunDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited := bytes.Replace(raw, []byte(`"size_bytes": 2097152`), []byte(`"size_bytes": 1048576`), 1)
+	edited := bytes.Replace(raw, []byte(`"size_bytes":2097152`), []byte(`"size_bytes":1048576`), 1)
 	if bytes.Equal(edited, raw) {
 		t.Fatalf("manifest.json has no spec to edit:\n%s", raw)
 	}
@@ -96,6 +96,30 @@ func TestVerifyRunDir(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "specs digest") {
 		t.Errorf("edited manifest: stderr %q does not name the specs digest", stderr)
+	}
+}
+
+// TestVerifyCodeVersionWarning checks `pcs verify -recompute` warns on
+// stderr, and only there, when the run was produced by another code
+// version, and still verifies the run.
+func TestVerifyCodeVersionWarning(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	c := runner.Campaign{Name: "other", Seed: 1, Jobs: []runner.Spec{
+		{Kind: "minvdd", Params: json.RawMessage(`{"size_bytes":65536,"ways":4,"block_bytes":64}`)},
+	}}
+	if _, err := runner.Run(context.Background(), expers.NewCampaignRegistry(), c, runner.Options{Workers: 1, ArtifactDir: dir, CodeVersion: "other"}); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runVerify("-recompute", "1", dir)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	const warning = "pcs verify: warning: run was produced by code version other"
+	if !strings.Contains(stderr, warning) {
+		t.Errorf("stderr %q lacks the code-version warning", stderr)
+	}
+	if strings.Contains(stdout, "warning") || !strings.Contains(stdout, "1/1 done cells recomputed bit-identically") {
+		t.Errorf("stdout:\n%s", stdout)
 	}
 }
 

@@ -47,6 +47,15 @@ type Entry struct {
 	Body json.RawMessage `json:"body"`
 }
 
+// entryOut is Entry as Append writes it: the same fields and tags,
+// with the body as a value to encode rather than encoded bytes.
+type entryOut struct {
+	Seq  int    `json:"seq"`
+	Type string `json:"type"`
+	Prev string `json:"prev"`
+	Body any    `json:"body"`
+}
+
 // Manifest is the opening entry's body: the identity of the campaign
 // execution the chain closes over.
 type Manifest struct {
@@ -120,12 +129,10 @@ type Writer struct {
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Append marshals body into the next entry and writes it as one line.
+// The body is encoded in place, in one pass with the entry: the line
+// is byte for byte the Entry whose Body holds json.Marshal(body).
 func (lw *Writer) Append(typ string, body any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("ledger: marshal %s body: %w", typ, err)
-	}
-	line, err := json.Marshal(Entry{Seq: lw.seq, Type: typ, Prev: lw.prev, Body: raw})
+	line, err := json.Marshal(entryOut{Seq: lw.seq, Type: typ, Prev: lw.prev, Body: body})
 	if err != nil {
 		return fmt.Errorf("ledger: marshal %s entry: %w", typ, err)
 	}

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/resultstore"
 )
 
 func TestChainRoundTrip(t *testing.T) {
@@ -80,6 +82,53 @@ func TestChainTamperDetection(t *testing.T) {
 	}
 }
 
+// TestAppendMatchesTwoStepMarshal checks Append's one-pass encoding
+// against marshalling the body first and the Entry around it, for all
+// four entry types, with strings encoding/json escapes or coerces, and
+// a raw body as a re-chaining reader passes it.
+func TestAppendMatchesTwoStepMarshal(t *testing.T) {
+	odd := "<a>&\u2028 \xff \"q\""
+	entries := []struct {
+		typ  string
+		body any
+	}{
+		{TypeManifest, Manifest{Campaign: odd, Seed: 1<<64 - 1, Jobs: 3, Workers: 2, CodeVersion: odd, SpecsDigest: "d"}},
+		{TypeResult, Result{Index: 0, Kind: odd, Name: odd, Seed: 7, Status: "done", Digest: "d0"}},
+		{TypeResult, Result{Index: 1, Kind: "k", Seed: 8, Status: "failed", Cached: true, Digest: "d1"}},
+		{TypeSidecar, Sidecar{Name: "spans.jsonl", Bytes: 42, Digest: "d2"}},
+		{TypeSidecar, json.RawMessage(` { "name" : "timeline.jsonl", "bytes": 1,"digest":"<d>" } `)},
+		{TypeSummary, Summary{Done: 2, Failed: 1, ResultsDigest: "d3"}},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	prev := ""
+	var want []string
+	for i, e := range entries {
+		if err := w.Append(e.typ, e.body); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(e.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(Entry{Seq: i, Type: e.typ, Prev: prev, Body: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, string(line))
+		prev = LineDigest(line)
+	}
+	got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("entry %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
 func TestSpecsDigestCanonical(t *testing.T) {
 	a, err := SpecsDigest([]byte(`[{"kind":"k","params":{"a":1,"b":2}}]`))
 	if err != nil {
@@ -109,6 +158,34 @@ func TestSpecsDigestFixture(t *testing.T) {
 	}
 	if want := "fd0ffe482493340c89ff452fc256edcc1ff55e154a6da207220537b8f46a0c2a"; got != want {
 		t.Errorf("specs digest = %s, want %s", got, want)
+	}
+}
+
+// TestCanonicalSpecsDigest checks CanonicalSpecsDigest over the
+// canonical elements of a spec array equals SpecsDigest of the array:
+// the fixture's, and an empty one.
+func TestCanonicalSpecsDigest(t *testing.T) {
+	specs := `[{"kind":"minvdd","name":"l1<a>&` + "\u2028" + `","params":{"ways":4,"size_bytes":65536}},` +
+		`{"params":null,"kind":"k"},{"kind":"k","name":"bad ` + "\xff" + `"}]`
+	for _, raw := range []string{specs, `[]`} {
+		var elems []json.RawMessage
+		if err := json.Unmarshal([]byte(raw), &elems); err != nil {
+			t.Fatal(err)
+		}
+		objs := make([][]byte, len(elems))
+		for i, e := range elems {
+			var err error
+			if objs[i], err = resultstore.CanonicalJSON(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := SpecsDigest(json.RawMessage(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := CanonicalSpecsDigest(objs); got != want {
+			t.Errorf("%s: digest %s, want %s", raw, got, want)
+		}
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 
 // SpecsDigest is the hex SHA-256 of the canonical JSON form of a
 // job-spec array. Canonicalization means the digest is recomputable
-// from manifest.json's indented "specs" field as well as from the
-// in-memory spec slice the runner marshalled.
+// from manifest.json's "specs" field however it is laid out (one
+// canonical spec per line, or indented as older runs wrote it) as well
+// as from the marshalled in-memory spec slice.
 func SpecsDigest(specs json.RawMessage) (string, error) {
 	canon, err := resultstore.CanonicalJSON(specs)
 	if err != nil {
@@ -22,6 +23,24 @@ func SpecsDigest(specs json.RawMessage) (string, error) {
 	}
 	sum := sha256.Sum256(canon)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// CanonicalSpecsDigest is SpecsDigest of the array whose elements are
+// specs, each of which must already be in CanonicalJSON form. The
+// canonical form of an array of canonical values is those values
+// joined by commas inside brackets, so this hashes exactly that
+// without parsing anything.
+func CanonicalSpecsDigest(specs [][]byte) string {
+	h := sha256.New()
+	h.Write([]byte{'['})
+	for i, s := range specs {
+		if i > 0 {
+			h.Write([]byte{','})
+		}
+		h.Write(s)
+	}
+	h.Write([]byte{']'})
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Report is the outcome of a successful VerifyDir: the verified chain

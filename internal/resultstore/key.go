@@ -41,16 +41,24 @@ func Key(kind string, params []byte, seed uint64, codeVersion string) (string, e
 	if err != nil {
 		return "", err
 	}
+	return KeyCanonical(kind, canon, seed, codeVersion), nil
+}
+
+// KeyCanonical is Key over params already in CanonicalJSON form, for a
+// caller that canonicalized them once for other uses too (the runner
+// writes the same bytes into manifest.json). Passing non-canonical
+// bytes yields a key no other spelling of the document shares.
+func KeyCanonical(kind string, canonParams []byte, seed uint64, codeVersion string) string {
 	h := sha256.New()
 	var sep = [1]byte{0}
 	var seedBuf [8]byte
 	binary.BigEndian.PutUint64(seedBuf[:], seed)
 	h.Write([]byte(kind))
 	h.Write(sep[:])
-	h.Write(canon)
+	h.Write(canonParams)
 	h.Write(sep[:])
 	h.Write(seedBuf[:])
 	h.Write(sep[:])
 	h.Write([]byte(codeVersion))
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }

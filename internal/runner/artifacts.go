@@ -6,13 +6,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/ledger"
 	"repro/internal/obs/tracez"
+	"repro/internal/resultstore"
 )
 
 // Artifact layout (in the spirit of a paper run_all.sh workflow): each
@@ -61,7 +64,90 @@ func NewRunDir(root string) (string, error) {
 	}
 }
 
-// manifest is the at-start record of what a campaign execution will do.
+// canonSpec is one job's spec in canonical form (see canonicalSpecs).
+type canonSpec struct {
+	// obj is the spec's canonical JSON object,
+	// {"kind":…,"name":…,"params":…}, with name and params left out
+	// where Spec's omitempty tags leave them out.
+	obj []byte
+	// params is the canonical params the store key hashes: the tail of
+	// obj, or null for a spec without params, as Key reads them.
+	params []byte
+	// Both are nil when the params are not one JSON value.
+}
+
+// canonicalSpecs canonicalizes each job's spec once, for the three
+// uses of its canonical bytes: the job's store key, its line in
+// manifest.json and the ledger's specs digest. A job whose params are
+// not one JSON value gets a zero entry, and err names the first such
+// job.
+func canonicalSpecs(jobs []Spec) (specs []canonSpec, err error) {
+	specs = make([]canonSpec, len(jobs))
+	for i, s := range jobs {
+		canon := jsonNull
+		if len(s.Params) > 0 {
+			var cerr error
+			canon, cerr = resultstore.CanonicalJSON(s.Params)
+			if cerr == nil && string(canon) == "null" && len(bytes.Trim(s.Params, " \t\r\n")) == 0 {
+				// CanonicalJSON reads blank input as null, but it is
+				// not a JSON value, and encoding/json refuses it.
+				cerr = errors.New("blank params are not a JSON value")
+			}
+			if cerr != nil {
+				if err == nil {
+					err = fmt.Errorf("job %d params: %w", i, cerr)
+				}
+				continue
+			}
+		}
+		// Keys sort kind < name < params, so the object is canonical
+		// as built.
+		obj := make([]byte, 0, len(s.Kind)+len(s.Name)+len(canon)+32)
+		obj = append(obj, `{"kind":`...)
+		obj = appendString(obj, s.Kind)
+		if s.Name != "" {
+			obj = append(obj, `,"name":`...)
+			obj = appendString(obj, s.Name)
+		}
+		specs[i].params = canon
+		if len(s.Params) > 0 {
+			obj = append(obj, `,"params":`...)
+			start := len(obj)
+			obj = append(obj, canon...)
+			specs[i].params = obj[start:len(obj):len(obj)]
+		}
+		specs[i].obj = append(obj, '}')
+	}
+	return specs, err
+}
+
+// jsonNull is the canonical params of a spec without params; shared,
+// and never written to.
+var jsonNull = []byte("null")
+
+// appendString appends s as a JSON string in CanonicalJSON's form,
+// which is encoding/json's except that invalid UTF-8 becomes a literal
+// U+FFFD rather than \ufffd. Printable ASCII other than ", \, <, >
+// and &, the form of every kind and name the repository uses, is
+// already canonical; anything else takes the reference path.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < ' ' || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			// Marshalling a string cannot fail, and its output is one
+			// JSON value.
+			q, _ := json.Marshal(s)
+			q, _ = resultstore.CanonicalJSON(q)
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// manifest is the at-start record of what a campaign execution will
+// do. manifest.json holds it, two-space indented, followed by a
+// "specs" array with one canonical spec object per line.
 type manifest struct {
 	Campaign string    `json:"campaign"`
 	Seed     uint64    `json:"seed"`
@@ -72,37 +158,59 @@ type manifest struct {
 	// each is hash-chained into ledger.jsonl at finish. A run writes
 	// spans.jsonl only; older runs list timeline.jsonl too.
 	Sidecars []string `json:"sidecars,omitempty"`
-	Specs    []Spec   `json:"specs"`
 }
 
 type artifactStore struct {
 	dir string
-	// c, workers, codeVersion feed the ledger's manifest entry.
+	// c, workers, codeVersion and specsDigest feed the ledger's
+	// manifest entry.
 	c           Campaign
 	workers     int
 	codeVersion string
+	specsDigest string
 
 	// spans is the spans.jsonl sink, the run's one sidecar.
 	spans *tracez.JSONL
 }
 
-// newArtifactStore creates dir if needed, writes the manifest and opens
-// the span sidecar.
-func newArtifactStore(dir string, c Campaign, workers int, codeVersion string) (*artifactStore, error) {
+// newArtifactStore creates dir if needed, writes the manifest from the
+// jobs' canonical specs, digests them for the ledger and opens the
+// span sidecar. specs must hold an object for every job.
+func newArtifactStore(dir string, c Campaign, specs []canonSpec, workers int, codeVersion string) (*artifactStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: artifact dir: %w", err)
 	}
-	m := manifest{
+	header, err := json.MarshalIndent(manifest{
 		Campaign: c.Name,
 		Seed:     c.Seed,
 		Jobs:     len(c.Jobs),
 		Workers:  workers,
 		Created:  time.Now().UTC(),
 		Sidecars: []string{tracez.FileName},
-		Specs:    c.Jobs,
+	}, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("runner: encode manifest.json: %w", err)
 	}
-	if err := writeJSON(filepath.Join(dir, "manifest.json"), m); err != nil {
-		return nil, err
+	// The header ends "\n}"; the specs array continues the object.
+	objs := make([][]byte, len(specs))
+	size := len(header) + 32
+	for i := range specs {
+		objs[i] = specs[i].obj
+		size += len(objs[i]) + 6
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, header[:len(header)-2]...)
+	buf = append(buf, ",\n  \"specs\": ["...)
+	for i, obj := range objs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, "\n    "...)
+		buf = append(buf, obj...)
+	}
+	buf = append(buf, "\n  ]\n}\n"...)
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), buf, 0o666); err != nil {
+		return nil, fmt.Errorf("runner: manifest.json: %w", err)
 	}
 	spans, err := tracez.CreateJSONL(filepath.Join(dir, tracez.FileName))
 	if err != nil {
@@ -111,7 +219,8 @@ func newArtifactStore(dir string, c Campaign, workers int, codeVersion string) (
 	return &artifactStore{
 		dir: dir,
 		c:   c, workers: workers, codeVersion: codeVersion,
-		spans: spans,
+		specsDigest: ledger.CanonicalSpecsDigest(objs),
+		spans:       spans,
 	}, nil
 }
 
@@ -205,14 +314,6 @@ func fileSidecar(dir, name string) (ledger.Sidecar, error) {
 // digest, seed, code version, every result digest and the wall-clock
 // sidecar's digest.
 func (a *artifactStore) writeLedger(results []JobResult, res *CampaignResult, lineDigests []string, resultsDigest string, sidecar ledger.Sidecar) error {
-	specsRaw, err := json.Marshal(a.c.Jobs)
-	if err != nil {
-		return fmt.Errorf("runner: marshal specs for ledger: %w", err)
-	}
-	specsDigest, err := ledger.SpecsDigest(specsRaw)
-	if err != nil {
-		return fmt.Errorf("runner: %w", err)
-	}
 	f, err := os.Create(filepath.Join(a.dir, ledger.FileName))
 	if err != nil {
 		return fmt.Errorf("runner: %s: %w", ledger.FileName, err)
@@ -225,7 +326,7 @@ func (a *artifactStore) writeLedger(results []JobResult, res *CampaignResult, li
 		Jobs:        len(a.c.Jobs),
 		Workers:     a.workers,
 		CodeVersion: a.codeVersion,
-		SpecsDigest: specsDigest,
+		SpecsDigest: a.specsDigest,
 	})
 	for i := range results {
 		if err != nil {

@@ -147,8 +147,9 @@ type Options struct {
 	// (kind, canonical params, effective seed, CodeVersion): runJob
 	// consults it before executing and stores successful outputs after.
 	// Only kinds registered with a DecodeOutput (see KindInfo) ever hit
-	// the cache. Cache failures degrade to recomputation, never to
-	// campaign failure.
+	// the cache, and never a job whose params are not one JSON value.
+	// Cache failures degrade to recomputation, never to campaign
+	// failure.
 	Cache ResultCache
 	// CodeVersion is the build identity mixed into every cache key (a
 	// rebuild with different code must miss) and recorded in the run
@@ -226,10 +227,20 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 		workers = len(c.Jobs)
 	}
 
+	// The store keys and the run directory's manifest and specs digest
+	// all read the jobs' canonical specs, built once here.
+	var specs []canonSpec
+	if opts.ArtifactDir != "" || opts.Cache != nil {
+		var err error
+		specs, err = canonicalSpecs(c.Jobs)
+		if err != nil && opts.ArtifactDir != "" {
+			return nil, fmt.Errorf("runner: encode manifest.json: %w", err)
+		}
+	}
 	var store *artifactStore
 	if opts.ArtifactDir != "" {
 		var err error
-		store, err = newArtifactStore(opts.ArtifactDir, c, workers, opts.CodeVersion)
+		store, err = newArtifactStore(opts.ArtifactDir, c, specs, workers, opts.CodeVersion)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +341,11 @@ func Run(ctx context.Context, reg *Registry, c Campaign, opts Options) (*Campaig
 				if states == nil {
 					states = make(map[string]any)
 				}
-				results[i] = runJob(ctxJobs, reg, c, i, worker, states, opts)
+				var canon []byte
+				if specs != nil {
+					canon = specs[i].params
+				}
+				results[i] = runJob(ctxJobs, reg, c, i, worker, states, opts, canon)
 				finish(results[i])
 			}
 		}(w)
@@ -392,8 +407,10 @@ feed:
 // function marks its own job failed instead of killing the campaign.
 // It also owns the job's observability: the resource-attribution
 // probe, and the job span (a child of the campaign span when the
-// campaign records spans) that carries the outcome.
-func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, states map[string]any, opts Options) (res JobResult) {
+// campaign records spans) that carries the outcome. canonParams is the
+// job's params in canonical form, the input of its store key; nil
+// keeps the job out of the store.
+func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, states map[string]any, opts Options, canonParams []byte) (res JobResult) {
 	spec := c.Jobs[i]
 	res = JobResult{Index: i, Kind: spec.Kind, Name: spec.Name, Seed: JobSeed(c.Seed, i)}
 	ctx, span := startJobSpan(ctx, i, worker, spec, res.Seed)
@@ -437,23 +454,20 @@ func runJob(ctx context.Context, reg *Registry, c Campaign, i, worker int, state
 	// Content-addressed memoization: only kinds that can reconstruct
 	// their concrete output type from stored bytes participate.
 	var cacheKey string
-	if opts.Cache != nil && info.DecodeOutput != nil {
-		key, err := resultstore.Key(spec.Kind, spec.Params, effectiveSeed(info, spec.Params, res.Seed), opts.CodeVersion)
-		if err == nil {
-			cacheKey = key
-			data, ok, _ := opts.Cache.Get(key)
-			if ok {
-				if out, derr := info.DecodeOutput(data); derr == nil {
-					res.Status = StatusDone
-					res.Output = out
-					res.Cached = true
-					return res
-				}
-				// An undecodable entry (e.g. written by an incompatible
-				// build despite the version key) falls through to compute.
+	if opts.Cache != nil && info.DecodeOutput != nil && canonParams != nil {
+		cacheKey = resultstore.KeyCanonical(spec.Kind, canonParams, effectiveSeed(info, spec.Params, res.Seed), opts.CodeVersion)
+		data, ok, _ := opts.Cache.Get(cacheKey)
+		if ok {
+			if out, derr := info.DecodeOutput(data); derr == nil {
+				res.Status = StatusDone
+				res.Output = out
+				res.Cached = true
+				return res
 			}
-			probe.cacheMiss = true
+			// An undecodable entry (e.g. written by an incompatible
+			// build despite the version key) falls through to compute.
 		}
+		probe.cacheMiss = true
 	}
 
 	out, err := fn(ctx, res.Seed, spec.Params)

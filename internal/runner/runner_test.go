@@ -32,7 +32,7 @@ func drawSumKind(_ context.Context, seed uint64, params json.RawMessage) (any, e
 	return map[string]uint64{"sum": sum}, nil
 }
 
-func testRegistry(t *testing.T) *Registry {
+func testRegistry(t testing.TB) *Registry {
 	t.Helper()
 	reg := NewRegistry()
 	reg.MustRegister("drawsum", drawSumKind)

@@ -92,6 +92,18 @@ go test -count=1 -run 'TestKeyGoldenFixtures|TestKeyMechVersionBump|FuzzCanonica
 go test -count=1 -run 'TestSpecsDigestFixture' ./internal/ledger
 go test -count=1 -run 'TestVerifyRunDir' ./cmd/pcs
 
+# One canonicalization per spec (DESIGN.md §10.2), under the race
+# detector: the canonical specs built at campaign set-up must give the
+# store keys, the specs digest and the manifest lines that marshalling
+# and canonicalizing the job array gives, including in a 4-worker
+# campaign with a store and a run directory, and every ledger line
+# must equal the two-step marshal's. Then VerifyDir's fuzz seed corpus:
+# an edited run directory, in either manifest layout, is refused or
+# keeps results.jsonl and the canonical specs unchanged.
+go test -count=1 -race -run 'TestCanonicalSpecsMatchMarshal|TestCanonicalSpecsRefuseNonValues|TestCampaignCanonicalSpecs' ./internal/runner
+go test -count=1 -race -run 'TestAppendMatchesTwoStepMarshal|TestCanonicalSpecsDigest' ./internal/ledger
+go test -count=1 -run 'FuzzVerifyDir' ./internal/runner
+
 # Spec-decoder gate: the seed corpus of the one decoder behind -spec and
 # POST /campaigns (round-trip documents plus examples/*.json) must
 # decode without panics and re-encode to a fixed point.
