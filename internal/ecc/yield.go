@@ -21,27 +21,31 @@ const (
 	DECTEDCodeBits = 27
 )
 
-// pAtMostK returns P(X <= k) for X ~ Binomial(n, ber), computed directly
-// (k is tiny here).
-func pAtMostK(ber float64, n, k int) float64 {
-	if ber <= 0 {
-		return 1
-	}
-	if ber >= 1 {
-		if k >= n {
-			return 1
-		}
+// tailAboveK returns P(X > k) for X ~ Binomial(n, ber): the
+// probability that a codeword holds more faulty cells than its code
+// corrects. It sums the tail itself rather than taking 1 - P(X <= k),
+// which rounds to 0 or to one ulp once the tail falls below about
+// 1e-16; raised to the number of codewords in a cache, that ulp made
+// the yield fall as VDD rose. The first term, i = k+1, comes from
+// lnChoose and each later one from the ratio of consecutive terms,
+// (n-i)/(i+1) · ber/(1-ber). The ratio falls as i grows, so a term
+// below half an ulp of the sum comes after the terms peak (a rising
+// term is at least the sum over n), every later term is smaller
+// still, and no addition left could change the sum: the loop stops.
+func tailAboveK(ber float64, n, k int) float64 {
+	if ber <= 0 || k >= n {
 		return 0
 	}
-	sum := 0.0
-	logB := math.Log(ber)
-	log1B := math.Log1p(-ber)
-	for i := 0; i <= k; i++ {
-		logC := lnChoose(n, i)
-		sum += math.Exp(logC + float64(i)*logB + float64(n-i)*log1B)
+	if ber >= 1 {
+		return 1
 	}
-	if sum > 1 {
-		sum = 1
+	i := k + 1
+	term := math.Exp(lnChoose(n, i) + float64(i)*math.Log(ber) + float64(n-i)*math.Log1p(-ber))
+	odds := ber / (1 - ber)
+	sum := 0.0
+	for ; i <= n && term >= sum*0x1p-54; i++ {
+		sum += term
+		term *= float64(n-i) / float64(i+1) * odds
 	}
 	return sum
 }
@@ -97,22 +101,15 @@ func (y YieldModel) SubblocksPerBlock() int {
 	return y.Geom.BlockBits / y.SubblockDataBits
 }
 
-// PSubblockOK returns the probability that one codeword stays
-// correctable at the given voltage.
-func (y YieldModel) PSubblockOK(vdd float64) float64 {
-	ber := y.BER.BER(vdd)
-	return pAtMostK(ber, y.CodewordBits, y.CorrectableBits)
-}
-
 // Yield returns the probability that every subblock of every block in
 // the cache remains correctable at the given voltage.
 func (y YieldModel) Yield(vdd float64) float64 {
-	pOK := y.PSubblockOK(vdd)
-	if pOK <= 0 {
+	tail := tailAboveK(y.BER.BER(vdd), y.CodewordBits, y.CorrectableBits)
+	if tail >= 1 {
 		return 0
 	}
 	n := float64(y.Geom.Blocks() * y.SubblocksPerBlock())
-	return math.Exp(n * math.Log(pOK))
+	return math.Exp(n * math.Log1p(-tail))
 }
 
 // MinVDD returns the lowest grid voltage in [lo, hi] with yield at least

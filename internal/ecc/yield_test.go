@@ -31,15 +31,29 @@ func TestYieldOrdering(t *testing.T) {
 	}
 }
 
+// TestYieldMonotoneInVoltage checks, with no tolerance, that no ECC
+// yield falls as VDD rises, on the L1-A geometry and on one with about
+// 4.2 M codewords (the L2-B size), where a one-ulp rounding of a
+// codeword's survival probability used to drop DECTED's yield from 1
+// to 0.9999999995 between 0.95 and 0.96 V.
 func TestYieldMonotoneInVoltage(t *testing.T) {
-	_, sec, _ := models(t)
-	prev := 0.0
-	for _, v := range faultmodel.Grid(0.30, 1.00) {
-		y := sec.Yield(v)
-		if y < prev-1e-12 {
-			t.Fatalf("SECDED yield decreased with voltage at %v", v)
+	ber := sram.NewWangCalhounBER()
+	for _, g := range []faultmodel.Geometry{testGeom(), {Sets: 8192, Ways: 16, BlockBits: 512}} {
+		for _, m := range []YieldModel{NewConventional(ber, g), NewSECDED(ber, g), NewDECTED(ber, g)} {
+			prev := 0.0
+			for _, v := range faultmodel.Grid(0.20, 1.20) {
+				y := m.Yield(v)
+				if y < prev {
+					t.Fatalf("%d-bit code, %d correctable, %d sets: yield fell from %v to %v at %.2f V",
+						m.CodewordBits, m.CorrectableBits, g.Sets, prev, y, v)
+				}
+				prev = y
+			}
+			// DECTED's 100 %-yield min-VDD needs its yield to reach 1.
+			if m.CorrectableBits == 2 && prev != 1 {
+				t.Errorf("DECTED, %d sets: yield %v at 1.20 V, want 1", g.Sets, prev)
+			}
 		}
-		prev = y
 	}
 }
 
@@ -110,15 +124,25 @@ func TestDECTEDBeatsProposedAtLowAssociativity(t *testing.T) {
 	}
 }
 
-func TestPSubblockOK(t *testing.T) {
+// TestCodewordTail checks the per-codeword failure probability the
+// yield is built from: negligible at nominal VDD, rising as VDD falls,
+// and the cache yield is its survival probability raised to the number
+// of codewords.
+func TestCodewordTail(t *testing.T) {
 	_, sec, _ := models(t)
-	// At very high voltage essentially every subblock is fine.
-	if p := sec.PSubblockOK(1.0); p < 0.999999 {
-		t.Errorf("nominal subblock OK prob %v", p)
+	tail := func(v float64) float64 { return tailAboveK(sec.BER.BER(v), sec.CodewordBits, sec.CorrectableBits) }
+	if p := tail(1.0); p > 1e-6 {
+		t.Errorf("nominal codeword failure prob %v", p)
 	}
-	// Probability decreases with voltage.
-	if sec.PSubblockOK(0.4) >= sec.PSubblockOK(0.7) {
-		t.Error("subblock OK prob not decreasing")
+	if tail(0.4) <= tail(0.7) {
+		t.Error("codeword failure prob not rising as VDD falls")
+	}
+	n := float64(sec.Geom.Blocks() * sec.SubblocksPerBlock())
+	for _, v := range []float64{0.4, 0.5, 0.7} {
+		want := math.Pow(1-tail(v), n)
+		if got := sec.Yield(v); math.Abs(got-want) > 1e-9*math.Max(want, 1e-300) {
+			t.Errorf("Yield(%.2f) = %v, want (1-tail)^n = %v", v, got, want)
+		}
 	}
 }
 
@@ -142,27 +166,50 @@ func TestStorageOverhead(t *testing.T) {
 	}
 }
 
-func TestPAtMostKEdges(t *testing.T) {
-	if got := pAtMostK(0, 22, 1); got != 1 {
+// binomialTail is the reference for tailAboveK: every term of the
+// tail from its own lnChoose, summed in full.
+func binomialTail(ber float64, n, k int) float64 {
+	sum := 0.0
+	for i := k + 1; i <= n; i++ {
+		sum += math.Exp(lnChoose(n, i) + float64(i)*math.Log(ber) + float64(n-i)*math.Log1p(-ber))
+	}
+	return sum
+}
+
+func TestTailAboveKEdges(t *testing.T) {
+	if got := tailAboveK(0, 22, 1); got != 0 {
 		t.Errorf("zero BER: %v", got)
 	}
-	if got := pAtMostK(1, 22, 1); got != 0 {
+	if got := tailAboveK(1, 22, 1); got != 1 {
 		t.Errorf("certain faults, k<n: %v", got)
 	}
-	if got := pAtMostK(1, 22, 22); got != 1 {
+	if got := tailAboveK(1, 22, 22); got != 0 {
 		t.Errorf("certain faults, k=n: %v", got)
 	}
-	// Against a direct binomial sum for moderate parameters.
+	// Against 1 - P(X <= 1) summed directly for moderate parameters.
 	ber := 0.01
-	direct := 0.0
-	for k := 0; k <= 1; k++ {
-		c := 1.0
-		if k == 1 {
-			c = 22
-		}
-		direct += c * math.Pow(ber, float64(k)) * math.Pow(1-ber, float64(22-k))
+	direct := math.Pow(1-ber, 22) + 22*ber*math.Pow(1-ber, 21)
+	if got := tailAboveK(ber, 22, 1); math.Abs(got-(1-direct)) > 1e-12 {
+		t.Errorf("tailAboveK = %v, want %v", got, 1-direct)
 	}
-	if got := pAtMostK(ber, 22, 1); math.Abs(got-direct) > 1e-12 {
-		t.Errorf("pAtMostK = %v, want %v", got, direct)
+	// Against the full per-term sum, over the BERs the models produce
+	// and beyond, for every code the yield models build. Each side
+	// takes exp of a log sum of magnitude up to about 60, so each
+	// carries tens of ulps (the largest gap seen is 1.0e-14, for the
+	// 27-bit code at a BER of 0.18); a wrong recurrence factor or an
+	// early stop that drops a term shows far beyond 1e-13.
+	for _, c := range []struct{ n, k int }{{16, 0}, {22, 1}, {27, 2}} {
+		prev := 0.0
+		for e := -14.0; e <= -0.5; e += 0.25 {
+			ber := math.Pow(10, e)
+			got, want := tailAboveK(ber, c.n, c.k), binomialTail(ber, c.n, c.k)
+			if math.Abs(got-want) > 1e-13*want {
+				t.Errorf("tailAboveK(%g, %d, %d) = %v, want %v", ber, c.n, c.k, got, want)
+			}
+			if got <= prev {
+				t.Errorf("tailAboveK(%g, %d, %d) = %v, not above %v at a lower BER", ber, c.n, c.k, got, prev)
+			}
+			prev = got
+		}
 	}
 }

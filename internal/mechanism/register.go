@@ -10,19 +10,19 @@ package mechanism
 func init() {
 	MustRegister(Descriptor{
 		Name: "conventional", Label: "Conventional", ShortLabel: "Conv",
-		Version: "1", Rank: 10, Default: true, Yields: true,
+		Version: "2", Rank: 10, Default: true, Yields: true,
 		Summary: "no fault tolerance: one faulty cell kills the cache",
 		New:     newConventional,
 	})
 	MustRegister(Descriptor{
 		Name: "secded", Label: "SECDED", ShortLabel: "SECDED",
-		Version: "1", Rank: 20, Default: true, Yields: true,
+		Version: "2", Rank: 20, Default: true, Yields: true,
 		Summary: "SECDED ECC per 2-byte subblock (1 correctable bit)",
 		New:     newSECDED,
 	})
 	MustRegister(Descriptor{
 		Name: "dected", Label: "DECTED", ShortLabel: "DECTED",
-		Version: "1", Rank: 30, Default: true, Yields: true,
+		Version: "2", Rank: 30, Default: true, Yields: true,
 		Summary: "DECTED ECC per 2-byte subblock (2 correctable bits)",
 		New:     newDECTED,
 	})
