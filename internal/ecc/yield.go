@@ -115,12 +115,7 @@ func (y YieldModel) Yield(vdd float64) float64 {
 // MinVDD returns the lowest grid voltage in [lo, hi] with yield at least
 // the target, or ok=false if none qualifies.
 func (y YieldModel) MinVDD(target, lo, hi float64) (vdd float64, ok bool) {
-	for _, v := range faultmodel.Grid(lo, hi) {
-		if y.Yield(v) >= target {
-			return v, true
-		}
-	}
-	return 0, false
+	return faultmodel.MinVDD(lo, hi, func(v float64) bool { return y.Yield(v) >= target })
 }
 
 // StorageOverhead returns the fraction of extra bits the scheme stores

@@ -44,11 +44,10 @@ func cellComparison(geom faultmodel.Geometry) ([]CellRow, *report.Table, error) 
 		row := CellRow{Cell: ct, AreaFactor: p.AreaFactor, LeakFactor: p.LeakageFactor}
 		// No fault tolerance: the whole array must be clean.
 		nbits := geom.Blocks() * geom.BlockBits
-		for _, v := range faultmodel.Grid(VLo, VHi) {
-			if pf := faultmodel.PFailBits(ber.BER(v), nbits); 1-pf >= 0.99 {
-				row.MinVDDNoFT = v
-				break
-			}
+		if v, ok := faultmodel.MinVDD(VLo, VHi, func(v float64) bool {
+			return 1-faultmodel.PFailBits(ber.BER(v), nbits) >= 0.99
+		}); ok {
+			row.MinVDDNoFT = v
 		}
 		if v, ok := fm.MinVDDForYield(0.99, VLo, VHi); ok {
 			row.MinVDDWithPCS = v

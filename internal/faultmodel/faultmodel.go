@@ -19,6 +19,7 @@ package faultmodel
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/sram"
 )
@@ -113,19 +114,47 @@ func (m *Model) Yield(vdd float64) float64 {
 	return math.Exp(float64(m.Geom.Sets) * math.Log1p(-ps))
 }
 
-// grid returns the 10 mV voltage grid over [lo, hi], inclusive of both
-// endpoints, from low to high.
-func grid(lo, hi float64) []float64 {
+// gridSpan orders the bounds of [lo, hi] and returns its lower end and
+// its number of 10 mV steps.
+func gridSpan(lo, hi float64) (float64, int) {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
+	return lo, int(math.Round((hi - lo) / VStep))
+}
+
+// gridPoint returns the grid voltage i steps above lo, snapped to keep
+// voltages printable (0.54, not 0.5400000001).
+func gridPoint(lo float64, i int) float64 {
+	return math.Round((lo+float64(i)*VStep)*100) / 100
+}
+
+// grid returns the 10 mV voltage grid over [lo, hi], inclusive of both
+// endpoints, from low to high.
+func grid(lo, hi float64) []float64 {
+	lo, steps := gridSpan(lo, hi)
 	var vs []float64
-	// Snap to the grid to keep voltages printable (0.54, not 0.5400000001).
-	steps := int(math.Round((hi - lo) / VStep))
 	for i := 0; i <= steps; i++ {
-		vs = append(vs, math.Round((lo+float64(i)*VStep)*100)/100)
+		vs = append(vs, gridPoint(lo, i))
 	}
 	return vs
+}
+
+// MinVDD returns the lowest grid voltage in [lo, hi] (bounds in either
+// order, the points Grid(lo, hi) lists) at which meets holds, or
+// ok=false if it holds at none. meets must be monotone on the grid:
+// false below some point and true from it on, as a yield or capacity
+// target is for a model whose yield and capacity never fall as VDD
+// rises, and as the conjunction of two such targets is. The search
+// bisects the grid's indices, so it calls meets about log2 of the
+// number of points times, and it allocates nothing.
+func MinVDD(lo, hi float64, meets func(vdd float64) bool) (vdd float64, ok bool) {
+	lo, steps := gridSpan(lo, hi)
+	i := sort.Search(steps+1, func(i int) bool { return meets(gridPoint(lo, i)) })
+	if i > steps {
+		return 0, false
+	}
+	return gridPoint(lo, i), true
 }
 
 // MinVDDForCapacity returns the lowest grid voltage in [lo, hi] at which
@@ -134,24 +163,16 @@ func grid(lo, hi float64) []float64 {
 // have at least 99 % effective block capacity", also subject to the
 // all-sets constraint). ok is false if no grid voltage qualifies.
 func (m *Model) MinVDDForCapacity(capTarget, yieldTarget, lo, hi float64) (vdd float64, ok bool) {
-	for _, v := range grid(lo, hi) {
-		if m.ExpectedCapacity(v) >= capTarget && m.Yield(v) >= yieldTarget {
-			return v, true
-		}
-	}
-	return 0, false
+	return MinVDD(lo, hi, func(v float64) bool {
+		return m.ExpectedCapacity(v) >= capTarget && m.Yield(v) >= yieldTarget
+	})
 }
 
 // MinVDDForYield returns the lowest grid voltage in [lo, hi] at which the
 // cache yield is at least yieldTarget (the DPCS VDD1 rule). ok is false
 // if no grid voltage qualifies.
 func (m *Model) MinVDDForYield(yieldTarget, lo, hi float64) (vdd float64, ok bool) {
-	for _, v := range grid(lo, hi) {
-		if m.Yield(v) >= yieldTarget {
-			return v, true
-		}
-	}
-	return 0, false
+	return MinVDD(lo, hi, func(v float64) bool { return m.Yield(v) >= yieldTarget })
 }
 
 // VDD1 capacity floor: the minimum expected block-survival proportion at
@@ -203,26 +224,6 @@ func (m *Model) VDDLevels(nominal, lo, capFloor float64) (vdd1, vdd2, vdd3 float
 		vdd1 = vdd2
 	}
 	return vdd1, vdd2, vdd3, nil
-}
-
-// CapacityCurve returns (voltage, expected capacity) samples over the
-// grid [lo, hi], low to high. Used by Fig. 3b.
-func (m *Model) CapacityCurve(lo, hi float64) (vs, caps []float64) {
-	for _, v := range grid(lo, hi) {
-		vs = append(vs, v)
-		caps = append(caps, m.ExpectedCapacity(v))
-	}
-	return vs, caps
-}
-
-// YieldCurve returns (voltage, yield) samples over the grid [lo, hi].
-// Used by Fig. 3d.
-func (m *Model) YieldCurve(lo, hi float64) (vs, ys []float64) {
-	for _, v := range grid(lo, hi) {
-		vs = append(vs, v)
-		ys = append(ys, m.Yield(v))
-	}
-	return vs, ys
 }
 
 // Grid exposes the shared 10 mV voltage grid to other packages so every

@@ -1,7 +1,10 @@
 package faultmodel
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -231,22 +234,115 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestCurves(t *testing.T) {
-	m := mustModel(t, l1AGeom())
-	vs, caps := m.CapacityCurve(0.30, 1.00)
-	if len(vs) != len(caps) || len(vs) != 71 {
-		t.Fatalf("capacity curve lengths %d/%d", len(vs), len(caps))
-	}
-	for i := 1; i < len(caps); i++ {
-		if caps[i] < caps[i-1]-1e-12 {
-			t.Fatalf("capacity not monotone at %v", vs[i])
+// propertyGeometries spans 1 KB to 64 MB, 1 to 64 ways and 16 to 128 B
+// blocks, every power of two, leaving out the shapes with no set.
+func propertyGeometries() []Geometry {
+	var gs []Geometry
+	for size := 1 << 10; size <= 64<<20; size <<= 1 {
+		for ways := 1; ways <= 64; ways <<= 1 {
+			for block := 16; block <= 128; block <<= 1 {
+				if sets := size / (block * ways); sets > 0 {
+					gs = append(gs, Geometry{Sets: sets, Ways: ways, BlockBits: block * 8})
+				}
+			}
 		}
 	}
-	_, ys := m.YieldCurve(0.30, 1.00)
-	for i := 1; i < len(ys); i++ {
-		if ys[i] < ys[i-1]-1e-12 {
-			t.Fatalf("yield not monotone at index %d", i)
+	return gs
+}
+
+// TestModelMonotoneInVoltage checks, with no tolerance, that yield and
+// expected capacity never fall as VDD rises over 0.20-1.20 V on every
+// property geometry: MinVDD's bisection returns the lowest qualifying
+// grid point only because of it.
+func TestModelMonotoneInVoltage(t *testing.T) {
+	vs := Grid(0.20, 1.20)
+	for _, g := range propertyGeometries() {
+		m := mustModel(t, g)
+		for i := 1; i < len(vs); i++ {
+			if y0, y1 := m.Yield(vs[i-1]), m.Yield(vs[i]); y1 < y0 {
+				t.Fatalf("%+v: yield fell from %v to %v at %.2f V", g, y0, y1, vs[i])
+			}
+			if c0, c1 := m.ExpectedCapacity(vs[i-1]), m.ExpectedCapacity(vs[i]); c1 < c0 {
+				t.Fatalf("%+v: capacity fell from %v to %v at %.2f V", g, c0, c1, vs[i])
+			}
 		}
+	}
+}
+
+// scanMinVDD is the reference for MinVDD: it walks Grid(lo, hi) upward
+// and returns the first point at which meets holds.
+func scanMinVDD(lo, hi float64, meets func(float64) bool) (float64, bool) {
+	for _, v := range Grid(lo, hi) {
+		if meets(v) {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// TestMinVDDMatchesScan checks both solvers on every property geometry
+// against the scan over [0.30, 1.00], and that each answer meets its
+// target while the grid point below it does not.
+func TestMinVDDMatchesScan(t *testing.T) {
+	yields := []float64{0.5, 0.9, 0.99, 0.999, 0.9999, 1}
+	check := func(what string, got float64, ok bool, meets func(float64) bool) {
+		t.Helper()
+		want, wantOK := scanMinVDD(0.30, 1.00, meets)
+		if got != want || ok != wantOK {
+			t.Fatalf("%s: (%v, %v), scan gives (%v, %v)", what, got, ok, want, wantOK)
+		}
+		if ok && (!meets(got) || got > 0.30 && meets(math.Round((got-VStep)*100)/100)) {
+			t.Fatalf("%s: %.2f V is not the lowest grid point meeting the target", what, got)
+		}
+	}
+	for _, g := range propertyGeometries() {
+		m := mustModel(t, g)
+		for _, y := range yields {
+			v, ok := m.MinVDDForYield(y, 0.30, 1.00)
+			check(fmt.Sprintf("%+v yield %v", g, y), v, ok, func(v float64) bool { return m.Yield(v) >= y })
+			for _, c := range []float64{0.9, 0.99, 0.999} {
+				v, ok := m.MinVDDForCapacity(c, y, 0.30, 1.00)
+				check(fmt.Sprintf("%+v capacity %v yield %v", g, c, y), v, ok, func(v float64) bool {
+					return m.ExpectedCapacity(v) >= c && m.Yield(v) >= y
+				})
+			}
+		}
+	}
+}
+
+// TestMinVDDBisection checks the search alone against the scan, for
+// threshold predicates at, between, below and above the grid's points,
+// on random bounds in either order and on edge cases: a one-point
+// grid, off-step bounds, no qualifying point and every point
+// qualifying. It calls the predicate at most bits.Len(points) times
+// and allocates nothing.
+func TestMinVDDBisection(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bounds := [][2]float64{{0.30, 1.00}, {1.00, 0.30}, {0.55, 0.55}, {0.305, 0.80}, {0.30, 0.305}, {0.20, 1.20}}
+	for i := 0; i < 300; i++ {
+		bounds = append(bounds, [2]float64{0.1 + 1.2*rng.Float64(), 0.1 + 1.2*rng.Float64()})
+	}
+	for _, b := range bounds {
+		g := Grid(b[0], b[1])
+		thresholds := append([]float64{g[0] - 1, g[len(g)-1] + 1, 0.1 + 1.2*rng.Float64()}, g...)
+		for _, th := range thresholds {
+			calls := 0
+			meets := func(v float64) bool { calls++; return v >= th }
+			got, ok := MinVDD(b[0], b[1], meets)
+			if n := bits.Len(uint(len(g))); calls > n {
+				t.Errorf("MinVDD(%v, %v) called the predicate %d times over %d points, want <= %d", b[0], b[1], calls, len(g), n)
+			}
+			want, wantOK := scanMinVDD(b[0], b[1], meets)
+			if got != want || ok != wantOK {
+				t.Fatalf("MinVDD(%v, %v) at threshold %v = (%v, %v), scan gives (%v, %v)", b[0], b[1], th, got, ok, want, wantOK)
+			}
+		}
+	}
+	th := 0.5
+	if allocs := testing.AllocsPerRun(100, func() {
+		MinVDD(0.30, 1.00, func(v float64) bool { return v >= th })
+	}); allocs != 0 {
+		t.Errorf("MinVDD allocated %v times per call", allocs)
 	}
 }
 

@@ -184,12 +184,7 @@ func (m *Model) StaticPower(cm *cacti.Model, vdd float64) float64 {
 // MinVDDForYield returns the lowest grid voltage meeting the yield
 // target, or ok=false.
 func (m *Model) MinVDDForYield(target, lo, hi float64) (float64, bool) {
-	for _, v := range faultmodel.Grid(lo, hi) {
-		if m.Yield(v) >= target {
-			return v, true
-		}
-	}
-	return 0, false
+	return faultmodel.MinVDD(lo, hi, func(v float64) bool { return m.Yield(v) >= target })
 }
 
 // PowerCapacityCurve returns (capacity, power) pairs across the voltage

@@ -116,12 +116,7 @@ func (m *l2c2Mech) StaticPower(cm *cacti.Model, vdd float64) float64 {
 }
 
 func (m *l2c2Mech) MinVDDForYield(target, lo, hi float64) (float64, bool) {
-	for _, v := range faultmodel.Grid(lo, hi) {
-		if m.Yield(v) >= target {
-			return v, true
-		}
-	}
-	return 0, false
+	return faultmodel.MinVDD(lo, hi, func(v float64) bool { return m.Yield(v) >= target })
 }
 
 func (m *l2c2Mech) AreaOverhead() AreaOverhead {

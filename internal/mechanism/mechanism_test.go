@@ -8,6 +8,8 @@
 package mechanism_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -268,5 +270,77 @@ func TestL2C2Model(t *testing.T) {
 	}
 	if _, ok := m.(mechanism.Tabler); !ok {
 		t.Fatal("l2c2 does not implement Tabler")
+	}
+}
+
+// scanMinVDD is the reference for the mechanisms' min-VDD search: it
+// walks the grid upward and returns the first point at which meets
+// holds.
+func scanMinVDD(lo, hi float64, meets func(float64) bool) (float64, bool) {
+	for _, v := range faultmodel.Grid(lo, hi) {
+		if meets(v) {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// TestRegistryPhysicsProperties checks every registered mechanism on
+// the four Table-2 organisations with one to three low voltages. Yield,
+// effective capacity and static power never fall as VDD rises over
+// [VLo, VHi], with no tolerance. MinVDDForYield, which bisects the grid
+// and so relies on that, returns what a scan up the grid returns at
+// every yield target: a voltage that meets the target above a grid
+// point that does not. Way gating never leaves nominal VDD, so its
+// min-VDD is nominal at any target.
+func TestRegistryPhysicsProperties(t *testing.T) {
+	vs := faultmodel.Grid(expers.VLo, expers.VHi)
+	for _, orgName := range []string{"l1a", "l2a", "l1b", "l2b"} {
+		org, err := expers.OrgByName(orgName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for nLow := 1; nLow <= 3; nLow++ {
+			cs, err := expers.NewCacheSetup(org, nLow+1)
+			if err != nil {
+				t.Fatalf("NewCacheSetup(%s, %d): %v", orgName, nLow+1, err)
+			}
+			s := cs.MechanismSetup(nLow)
+			for _, d := range mechanism.All() {
+				m := newMech(t, s, d.Name)
+				cell := fmt.Sprintf("%s on %s with %d low VDDs", d.Name, orgName, nLow)
+				curves := []struct {
+					what string
+					at   func(float64) float64
+				}{
+					{"yield", m.Yield},
+					{"effective capacity", m.EffectiveCapacity},
+					{"static power", func(v float64) float64 { return m.StaticPower(cs.CM, v) }},
+				}
+				for _, c := range curves {
+					for i := 1; i < len(vs); i++ {
+						if lo, hi := c.at(vs[i-1]), c.at(vs[i]); hi < lo {
+							t.Errorf("%s: %s fell from %v to %v at %.2f V", cell, c.what, lo, hi, vs[i])
+						}
+					}
+				}
+				for _, target := range []float64{0.5, 0.9, 0.99, 0.999, 0.9999, 1} {
+					got, ok := m.MinVDDForYield(target, expers.VLo, expers.VHi)
+					if d.Name == "waygate" {
+						if got != s.Tech.VDDNom || !ok {
+							t.Errorf("%s: min VDD at yield %v = (%v, %v), want nominal %v", cell, target, got, ok, s.Tech.VDDNom)
+						}
+						continue
+					}
+					meets := func(v float64) bool { return m.Yield(v) >= target }
+					want, wantOK := scanMinVDD(expers.VLo, expers.VHi, meets)
+					if got != want || ok != wantOK {
+						t.Errorf("%s: min VDD at yield %v = (%v, %v), scan gives (%v, %v)", cell, target, got, ok, want, wantOK)
+					} else if ok && (!meets(got) || got > expers.VLo && meets(math.Round((got-faultmodel.VStep)*100)/100)) {
+						t.Errorf("%s: %.2f V is not the lowest grid point meeting yield %v", cell, got, target)
+					}
+				}
+			}
+		}
 	}
 }

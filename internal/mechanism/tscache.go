@@ -119,12 +119,7 @@ func (m *tsCacheMech) StaticPower(cm *cacti.Model, vdd float64) float64 {
 }
 
 func (m *tsCacheMech) MinVDDForYield(target, lo, hi float64) (float64, bool) {
-	for _, v := range faultmodel.Grid(lo, hi) {
-		if m.Yield(v) >= target {
-			return v, true
-		}
-	}
-	return 0, false
+	return faultmodel.MinVDD(lo, hi, func(v float64) bool { return m.Yield(v) >= target })
 }
 
 func (m *tsCacheMech) AreaOverhead() AreaOverhead {

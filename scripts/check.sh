@@ -78,6 +78,18 @@ go test -count=1 -run 'TestRegistryCompleteness|TestMechStudyCoversRegistry|Test
 go test -count=1 -run 'TestAnalyticalGolden|TestAnalyticalUnknownMechanism' ./cmd/pcs
 go test -count=1 -run 'TestAdapterDifferential' ./internal/mechanism
 
+# Min-VDD search gates (DESIGN.md §5, §14): faultmodel.MinVDD bisects
+# the 10 mV grid, so it returns what a scan up the grid returns only if
+# no model's yield or capacity falls as VDD rises. Yield and capacity of
+# faultmodel.Model over 1 KB-64 MB x 1-64 ways x 16-128 B, and yield,
+# capacity and static power of every registered mechanism on the four
+# Table-2 organisations, must never fall; every min-VDD solver must
+# match the scan at every target, and the search itself must match it
+# on random bounds and predicates, bisect, and allocate nothing.
+go test -count=1 -run 'TestModelMonotoneInVoltage|TestMinVDDMatchesScan|TestMinVDDBisection' ./internal/faultmodel
+go test -count=1 -run 'TestRegistryPhysicsProperties' ./internal/mechanism
+go test -count=1 -run 'TestYieldMonotoneInVoltage|TestTailAboveKEdges' ./internal/ecc
+
 # Store-key gate (DESIGN.md §10.1): the key fixtures must not move, the
 # single-pass canonicalizer must match the decode/re-marshal reference
 # on the fuzz seed corpus (key fixtures, examples/*.json params, fig4
