@@ -1,9 +1,11 @@
 package expers
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -742,15 +744,19 @@ func runAblationJob(ctx context.Context, seed uint64, params json.RawMessage) (a
 
 // decodeParams strictly decodes a kind's parameter document, rejecting
 // unknown fields so spec typos fail instead of silently running the
-// default experiment.
+// default experiment, and anything but white space after the one JSON
+// value, which would otherwise go unread.
 func decodeParams(raw json.RawMessage, v any) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("expers: bad params: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("expers: bad params: trailing data after the JSON value")
 	}
 	return nil
 }

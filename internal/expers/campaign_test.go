@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultmodel"
@@ -88,6 +89,33 @@ func TestParamValidation(t *testing.T) {
 		if _, err := fn(context.Background(), 1, json.RawMessage(c.params)); err == nil {
 			t.Errorf("%s params %s: no error", c.kind, c.params)
 		}
+	}
+}
+
+// TestParamsRejectTrailingData checks that every registered kind
+// refuses a params document with anything but white space after its
+// JSON value, before computing anything, and that trailing white space
+// changes nothing.
+func TestParamsRejectTrailingData(t *testing.T) {
+	reg := NewCampaignRegistry()
+	for _, kind := range reg.Kinds() {
+		fn, _ := reg.Lookup(kind)
+		for _, params := range []string{`{} {"ways":"junk"}`, `{}]`, `{} garbage`, `{}{}`, "{}\n\u00a0"} {
+			_, err := fn(context.Background(), 1, json.RawMessage(params))
+			if err == nil || !strings.Contains(err.Error(), "trailing data") {
+				t.Errorf("%s params %q: error %v, want trailing data refused", kind, params, err)
+			}
+		}
+	}
+	fn, _ := reg.Lookup("minvdd")
+	params := `{"size_bytes":65536,"ways":4,"block_bytes":64}`
+	want, err := fn(context.Background(), 1, json.RawMessage(params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fn(context.Background(), 1, json.RawMessage(params+" \t\r\n"))
+	if err != nil || got != want {
+		t.Errorf("minvdd with trailing white space = (%v, %v), want (%v, nil)", got, err, want)
 	}
 }
 
