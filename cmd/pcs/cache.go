@@ -62,7 +62,7 @@ func cacheCommand(stdout io.Writer) *cli.Command {
 				if err == flag.ErrHelp {
 					return nil
 				}
-				return err
+				return cli.ErrUsage // sub printed the error and the flags
 			}
 			if action == "gc" && *maxBytes == 0 && *maxAge == 0 {
 				return fmt.Errorf("gc needs -max-bytes and/or -max-age")

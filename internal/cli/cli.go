@@ -15,6 +15,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +23,12 @@ import (
 	"sort"
 	"strings"
 )
+
+// ErrUsage is what a command's Run returns once it has printed why
+// its command line is malformed, as a FlagSet of an action's own flags
+// does when it parses the arguments after the action: the app exits 2,
+// as for a bad flag of the command's, and prints nothing more.
+var ErrUsage = errors.New("cli: usage error")
 
 // Command is one subcommand: its flag registration and its body.
 type Command struct {
@@ -144,6 +151,9 @@ func (a *App) Run(argv []string) int {
 		return 2
 	}
 	if err := c.Run(fs); err != nil {
+		if errors.Is(err, ErrUsage) {
+			return 2
+		}
 		fmt.Fprintf(w, "%s %s: %v\n", a.Name, c.Name, err)
 		return 1
 	}

@@ -53,6 +53,11 @@ func TestDispatchAndExitCodes(t *testing.T) {
 	if code := a.Run([]string{"go", "-bogus"}); code != 2 {
 		t.Fatalf("bad-flag exit %d", code)
 	}
+	a.Register(&Command{Name: "usage", Run: func(*flag.FlagSet) error { return fmt.Errorf("action: %w", ErrUsage) }})
+	out.Reset()
+	if code := a.Run([]string{"usage"}); code != 2 || out.Len() != 0 {
+		t.Fatalf("usage-error exit %d, output %q; want 2 and nothing printed", code, out.String())
+	}
 }
 
 func TestHelp(t *testing.T) {
