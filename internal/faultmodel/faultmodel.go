@@ -129,9 +129,10 @@ func gridPoint(lo float64, i int) float64 {
 	return math.Round((lo+float64(i)*VStep)*100) / 100
 }
 
-// grid returns the 10 mV voltage grid over [lo, hi], inclusive of both
-// endpoints, from low to high.
-func grid(lo, hi float64) []float64 {
+// Grid returns the 10 mV voltage grid over [lo, hi] (bounds in either
+// order), inclusive of both endpoints, from low to high. Every curve in
+// the reproduction is sampled at these points.
+func Grid(lo, hi float64) []float64 {
 	lo, steps := gridSpan(lo, hi)
 	var vs []float64
 	for i := 0; i <= steps; i++ {
@@ -225,7 +226,3 @@ func (m *Model) VDDLevels(nominal, lo, capFloor float64) (vdd1, vdd2, vdd3 float
 	}
 	return vdd1, vdd2, vdd3, nil
 }
-
-// Grid exposes the shared 10 mV voltage grid to other packages so every
-// curve in the reproduction is sampled at identical points.
-func Grid(lo, hi float64) []float64 { return grid(lo, hi) }
