@@ -24,10 +24,10 @@ import (
 	"strings"
 )
 
-// ErrUsage is what a command's Run returns once it has printed why
-// its command line is malformed, as a FlagSet of an action's own flags
-// does when it parses the arguments after the action: the app exits 2,
-// as for a bad flag of the command's, and prints nothing more.
+// ErrUsage is what a command's Run returns after it has printed why its
+// command line is malformed, as the FlagSet of an action's own flags
+// does: the app exits 2, as for a bad flag of the command, and prints
+// nothing more.
 var ErrUsage = errors.New("cli: usage error")
 
 // Command is one subcommand: its flag registration and its body.
