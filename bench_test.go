@@ -250,14 +250,18 @@ func BenchmarkLeakageTechniques(b *testing.B) {
 }
 
 // BenchmarkPolicyAblation regenerates the DPCS damping ablation
-// (DESIGN.md §6).
+// (DESIGN.md §6) on one workload, its cells run through the worker
+// pool as `pcs sweep -ablate` runs them.
 func BenchmarkPolicyAblation(b *testing.B) {
-	opts := cpusim.RunOptions{WarmupInstr: 100_000, SimInstr: 400_000, Seed: 1}
+	st := expers.AblationStudy([]string{"hmmer.s"}, cpusim.RunOptions{WarmupInstr: 100_000, SimInstr: 400_000, Seed: 1})
+	reg := expers.NewCampaignRegistry()
 	var rows []expers.AblationRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = expers.Ablation([]string{"hmmer.s"}, opts)
+		res, err := runner.Run(context.Background(), reg, runner.Campaign{Name: st.Name, Seed: 1, Jobs: st.Jobs}, runner.Options{})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if rows, err = expers.AblationRows(res.Results); err != nil {
 			b.Fatal(err)
 		}
 	}

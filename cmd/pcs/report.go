@@ -16,6 +16,7 @@ import (
 	"repro/internal/expers"
 	"repro/internal/obs/tracez"
 	"repro/internal/report"
+	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -257,9 +258,13 @@ func writeReport(stdout, stderr io.Writer, out string, instr uint64) (err error)
 	}
 
 	section("DPCS policy ablation (DESIGN.md §6)")
-	_, tab, err := expers.Ablation([]string{"hmmer.s", "sjeng.s"},
-		cpusim.RunOptions{WarmupInstr: opts.WarmupInstr, SimInstr: minU(instr, 8_000_000), Seed: 1})
-	if err := must(tab, err); err != nil {
+	st := expers.AblationStudy(nil, cpusim.RunOptions{WarmupInstr: opts.WarmupInstr, SimInstr: minU(instr, 8_000_000), Seed: 1})
+	res, err := runner.Run(context.Background(), expers.NewCampaignRegistry(),
+		runner.Campaign{Name: st.Name, Seed: 1, Jobs: st.Jobs}, runner.Options{})
+	if err != nil {
+		return err
+	}
+	if err := must(st.Table(res.Results)); err != nil {
 		return err
 	}
 

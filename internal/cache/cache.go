@@ -173,9 +173,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // access, so it must stay inlinable.
 func (c *Cache) Accesses() uint64 { return c.stats.Accesses }
 
-// ResetStats zeroes the statistics (contents are untouched).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Reset returns the cache to the state New constructs, reusing the
 // packed metadata slices so arena-style callers (internal/cpusim's
 // simulation arena) can recycle one allocation across consecutive

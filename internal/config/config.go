@@ -5,12 +5,11 @@
 // it is executed. The pcs CLI loads a spec with -spec and runs it
 // locally; POST /campaigns on a pcs serve instance accepts the same
 // document, decoded by the same Decode, and runs ExpandCampaign's jobs
-// through the same registry. For multicore, sweep and campaign
-// sections those are the jobs the CLI runs. A sim section is the
-// exception: the server runs "cpusim" jobs, while pcs sim runs the
-// same grid as "fig4-cell" jobs (expers.Fig4GridWorkloads), with a
-// different output type and store key, so the two paths never share a
-// result-store entry.
+// through the same registry. Those are the jobs the CLI runs for every
+// section: a sim section expands to the "fig4-cell" jobs of
+// expers.Fig4CellJobs, which pcs sim runs through
+// expers.Fig4GridWorkloads, so a grid computed on either path is served
+// from the result store on the other.
 //
 // # Document shape
 //
@@ -371,14 +370,12 @@ type defaulter interface {
 // kindParams maps every registered campaign kind to a fresh parameter
 // prototype; NormalizeJob strict-decodes against it.
 var kindParams = map[string]func() defaulter{
-	"cpusim":     func() defaulter { return new(expers.CPUSimParams) },
 	"multicore":  func() defaulter { return new(expers.MulticoreParams) },
 	"minvdd":     func() defaulter { return new(expers.MinVDDParams) },
 	"mechminvdd": func() defaulter { return new(expers.MechMinVDDParams) },
 	"vddlevels":  func() defaulter { return new(expers.VDDLevelsParams) },
 	"cells":      func() defaulter { return new(expers.CellsParams) },
 	"leakage":    func() defaulter { return new(expers.LeakageParams) },
-	"ablation":   func() defaulter { return new(expers.AblationParams) },
 	"fig4-cell":  func() defaulter { return new(expers.Fig4CellParams) },
 }
 

@@ -2,6 +2,7 @@ package config
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,8 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpusim"
 	"repro/internal/expers"
 	"repro/internal/mechanism"
+	"repro/internal/resultstore"
+	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
 // roundTripDocs covers every section shape; TestRoundTripStability
@@ -125,7 +130,7 @@ func TestDocumentValidation(t *testing.T) {
 		{`{"version":1,"multicore":{"shared_frac":1.5}}`, "shared_frac"},
 		{`{"version":1,"campaign":{}}`, "no jobs"},
 		{`{"version":1,"campaign":{"jobs":[{"kind":"warp"}]}}`, "unknown kind"},
-		{`{"version":1,"campaign":{"jobs":[{"kind":"cpusim","params":{"bench":"bzip2.s"}}]}}`, ""},
+		{`{"version":1,"campaign":{"jobs":[{"kind":"fig4-cell","params":{"bench":"bzip2.s"}}]}}`, "sim_instr"},
 	}
 	for _, c := range cases {
 		_, err := Decode([]byte(c.src))
@@ -191,13 +196,23 @@ func TestJobParamDefaults(t *testing.T) {
 		return spec.Params
 	}
 
-	t.Run("cpusim", func(t *testing.T) {
-		var p expers.CPUSimParams
-		if err := json.Unmarshal(norm(t, "cpusim", `{"bench":"bzip2.s","sim_instr":1000}`), &p); err != nil {
+	t.Run("fig4-cell", func(t *testing.T) {
+		// No defaults: the document is machine-written and fully
+		// explicit, so normalization must keep every field.
+		want := expers.Fig4CellParams{
+			Config: cpusim.ConfigB(), Mode: "DPCS", Bench: "mcf.s",
+			WarmupInstr: 100, SimInstr: 1000, Seed: 4,
+		}
+		raw, err := json.Marshal(want)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Config != "A" || p.Mode != "baseline" {
-			t.Errorf("cpusim defaults: %+v", p)
+		var p expers.Fig4CellParams
+		if err := json.Unmarshal(norm(t, "fig4-cell", string(raw)), &p); err != nil {
+			t.Fatal(err)
+		}
+		if p != want {
+			t.Errorf("fig4-cell normalized to %+v, want %+v", p, want)
 		}
 	})
 	t.Run("multicore", func(t *testing.T) {
@@ -233,15 +248,6 @@ func TestJobParamDefaults(t *testing.T) {
 			t.Errorf("leakage defaults: %+v", p)
 		}
 	})
-	t.Run("ablation", func(t *testing.T) {
-		var p expers.AblationParams
-		if err := json.Unmarshal(norm(t, "ablation", `{"sim_instr":8000}`), &p); err != nil {
-			t.Fatal(err)
-		}
-		if len(p.Benches) == 0 || p.WarmupInstr != 2000 {
-			t.Errorf("ablation defaults: %+v", p)
-		}
-	})
 }
 
 // TestKnownKindsMatchRegistry pins the spec layer's kind list to the
@@ -254,8 +260,21 @@ func TestKnownKindsMatchRegistry(t *testing.T) {
 	}
 }
 
+// TestRemovedKindsRefused checks the retired single-core kinds are
+// refused by name: every single-core cell is a fig4-cell job.
+func TestRemovedKindsRefused(t *testing.T) {
+	for _, kind := range []string{"cpusim", "ablation"} {
+		src := `{"version":1,"campaign":{"jobs":[{"kind":"` + kind + `","params":{"bench":"bzip2.s","sim_instr":1000}}]}}`
+		_, _, err := ExpandBytes([]byte(src))
+		if err == nil || !strings.Contains(err.Error(), `unknown kind "`+kind+`"`) {
+			t.Errorf("kind %s: error %v, want one naming the unknown kind", kind, err)
+		}
+	}
+}
+
 // TestSimExpansion checks the Fig. 4 grid lowers to the historical
-// config × bench × mode job order with the master seed pinned.
+// config × bench × mode job order of fig4-cell jobs, each embedding its
+// Table-2 config, with the master seed pinned.
 func TestSimExpansion(t *testing.T) {
 	d, err := Decode([]byte(`{"version":1,"seed":9,"sim":{"bench":"mcf.s","sim_instr":1000,"warmup_instr":100}}`))
 	if err != nil {
@@ -276,15 +295,59 @@ func TestSimExpansion(t *testing.T) {
 		t.Fatalf("jobs = %d, want %d", len(camp.Jobs), len(wantNames))
 	}
 	for i, j := range camp.Jobs {
-		if j.Name != wantNames[i] || j.Kind != "cpusim" {
-			t.Errorf("job %d = %s/%s, want cpusim/%s", i, j.Kind, j.Name, wantNames[i])
+		if j.Name != wantNames[i] || j.Kind != "fig4-cell" {
+			t.Errorf("job %d = %s/%s, want fig4-cell/%s", i, j.Kind, j.Name, wantNames[i])
 		}
-		var p expers.CPUSimParams
+		var p expers.Fig4CellParams
 		if err := json.Unmarshal(j.Params, &p); err != nil {
 			t.Fatal(err)
 		}
-		if p.Seed != 9 || p.SimInstr != 1000 || p.WarmupInstr != 100 {
+		if p.Seed != 9 || p.SimInstr != 1000 || p.WarmupInstr != 100 || p.Config.Name != j.Name[:1] {
 			t.Errorf("job %d params %+v", i, p)
+		}
+	}
+}
+
+// TestSimSectionSharesGridStore pins that a spec's sim section runs
+// the jobs pcs sim runs: a narrowed sim document expanded by
+// ExpandBytes, as pcs serve expands a body, and run into a store leaves
+// every cell expers.Fig4GridWorkloads then asks for in that store, with
+// the same outputs.
+func TestSimSectionSharesGridStore(t *testing.T) {
+	const src = `{"version":1,"seed":3,"sim":{"bench":"mcf.s","warmup_instr":2000,"sim_instr":10000}}`
+	camp, _, err := ExpandBytes([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := runner.Run(ctx, expers.NewCampaignRegistry(), camp,
+		runner.Options{Workers: 2, Cache: store, CodeVersion: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != len(camp.Jobs) || res.Cached != 0 {
+		t.Fatalf("spec campaign: %d done, %d cached of %d jobs", res.Done, res.Cached, len(camp.Jobs))
+	}
+	w, _ := trace.ByName("mcf.s")
+	opts := cpusim.RunOptions{WarmupInstr: 2000, SimInstr: 10000, Seed: 3}
+	for i, cfg := range []cpusim.SystemConfig{cpusim.ConfigA(), cpusim.ConfigB()} {
+		data, gs, err := expers.Fig4GridWorkloads(ctx, cfg, []trace.Workload{w}, opts,
+			expers.GridOptions{Workers: 1, Cache: store, CodeVersion: "test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs.Cells != 3 || gs.Cached != gs.Cells {
+			t.Errorf("config %s: grid served %d of %d cells from the store, want all", cfg.Name, gs.Cached, gs.Cells)
+		}
+		row := data.Rows[0]
+		for j, got := range []cpusim.Result{row.Baseline, row.SPCS, row.DPCS} {
+			if want := res.Results[3*i+j].Output; !reflect.DeepEqual(got, want) {
+				t.Errorf("config %s cell %d: grid output %+v, spec output %+v", cfg.Name, j, got, want)
+			}
 		}
 	}
 }
@@ -345,8 +408,8 @@ func TestMulticoreExpansion(t *testing.T) {
 // pinned seeds survive.
 func TestCampaignExpansionSeedConvention(t *testing.T) {
 	src := `{"version":1,"seed":5,"campaign":{"jobs":[
-		{"kind":"cpusim","params":{"bench":"bzip2.s","sim_instr":100}},
-		{"kind":"cpusim","params":{"bench":"bzip2.s","sim_instr":100,"seed":3}}
+		{"kind":"leakage","params":{"sim_instr":100}},
+		{"kind":"leakage","params":{"sim_instr":100,"seed":3}}
 	]}}`
 	d, err := Decode([]byte(src))
 	if err != nil {
@@ -359,7 +422,7 @@ func TestCampaignExpansionSeedConvention(t *testing.T) {
 	if camp.Seed != 5 {
 		t.Fatalf("campaign seed %d", camp.Seed)
 	}
-	var p0, p1 expers.CPUSimParams
+	var p0, p1 expers.LeakageParams
 	if err := json.Unmarshal(camp.Jobs[0].Params, &p0); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +435,7 @@ func TestCampaignExpansionSeedConvention(t *testing.T) {
 	if p1.Seed != 3 {
 		t.Errorf("pinned seed lost: %d", p1.Seed)
 	}
-	if camp.Jobs[0].Name != "cpusim-0" {
+	if camp.Jobs[0].Name != "leakage-0" {
 		t.Errorf("default job name %q", camp.Jobs[0].Name)
 	}
 }

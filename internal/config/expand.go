@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 
+	"repro/internal/cpusim"
 	"repro/internal/expers"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -40,36 +41,34 @@ func (d *Document) ExpandCampaign() (runner.Campaign, error) {
 }
 
 // expand lowers the Fig. 4 grid: config × benchmark × mode, every cell
-// pinned to the master seed (the cells of one grid must share fault
-// maps to be comparable, exactly as pcs-sim ran them).
+// a "fig4-cell" job pinned to the master seed (the cells of one grid
+// must share fault maps to be comparable). These are the jobs pcs sim
+// runs for the same section, so the two paths share store entries.
 func (s *SimSpec) expand(seed uint64) ([]runner.Spec, error) {
-	configs, err := systemConfigs(s.Config)
+	names, err := systemConfigs(s.Config)
 	if err != nil {
 		return nil, err
 	}
-	benches := trace.Names()
+	workloads := trace.Suite()
 	if s.Bench != "" {
-		benches = []string{s.Bench}
-	}
-	var jobs []runner.Spec
-	for _, cfg := range configs {
-		for _, bench := range benches {
-			for _, mode := range []string{"baseline", "SPCS", "DPCS"} {
-				p := expers.CPUSimParams{
-					Config: cfg, Mode: mode, Bench: bench,
-					WarmupInstr: s.WarmupInstr, SimInstr: s.SimInstr, Seed: seed,
-				}
-				raw, err := marshalJSON(&p)
-				if err != nil {
-					return nil, err
-				}
-				jobs = append(jobs, runner.Spec{
-					Kind:   "cpusim",
-					Name:   fmt.Sprintf("%s/%s/%s", cfg, bench, mode),
-					Params: raw,
-				})
-			}
+		w, ok := trace.ByName(s.Bench)
+		if !ok {
+			return nil, validBench(s.Bench)
 		}
+		workloads = []trace.Workload{w}
+	}
+	opts := cpusim.RunOptions{WarmupInstr: s.WarmupInstr, SimInstr: s.SimInstr, Seed: seed}
+	var jobs []runner.Spec
+	for _, name := range names {
+		cfg, err := cpusim.ConfigByName(name)
+		if err != nil {
+			return nil, err
+		}
+		cells, err := expers.Fig4CellJobs(cfg, workloads, opts)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, cells...)
 	}
 	return jobs, nil
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpusim"
 	"repro/internal/report"
-	"repro/internal/trace"
+	"repro/internal/runner"
 )
 
 // AblationRow records one policy variant's outcome on one workload.
@@ -41,38 +41,38 @@ func AblationVariants() []struct {
 	}
 }
 
-// Ablation runs each policy variant on the given workloads under Config
-// A, reporting the energy saving and execution overhead — the ablation
-// study for the design choices DESIGN.md §6 documents.
-func Ablation(workloads []string, opts cpusim.RunOptions) ([]AblationRow, *report.Table, error) {
+// AblationRows assembles the ablation study's rows from its job
+// results, in AblationStudy's job order: per workload, the baseline
+// cell followed by one DPCS cell per AblationVariants entry. Each row
+// reports a variant's energy saving and execution overhead against its
+// workload's baseline.
+func AblationRows(results []runner.JobResult) ([]AblationRow, error) {
+	variants := AblationVariants()
+	per := 1 + len(variants)
+	if len(results)%per != 0 {
+		return nil, fmt.Errorf("expers: ablation needs %d results per workload, got %d", per, len(results))
+	}
 	var rows []AblationRow
-	for _, name := range workloads {
-		w, ok := trace.ByName(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("expers: unknown workload %q", name)
-		}
-		base, err := cpusim.Run(cpusim.ConfigA(), core.Baseline, w, opts)
+	for i := 0; i < len(results); i += per {
+		base, err := jobOutput[cpusim.Result](results, i)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		for _, v := range AblationVariants() {
-			cfg := cpusim.ConfigA()
-			cfg.Ablate = v.Flags
-			r, err := cpusim.Run(cfg, core.DPCS, w, opts)
+		for j, v := range variants {
+			r, err := jobOutput[cpusim.Result](results, i+1+j)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			row := AblationRow{
+			rows = append(rows, AblationRow{
 				Variant:   v.Name,
-				Workload:  name,
+				Workload:  base.Workload,
 				SavingPct: (1 - r.TotalCacheEnergyJ/base.TotalCacheEnergyJ) * 100,
 				OverhdPct: (float64(r.Cycles)/float64(base.Cycles) - 1) * 100,
 				L2Trans:   r.L2.Transitions,
-			}
-			rows = append(rows, row)
+			})
 		}
 	}
-	return rows, AblationTable(rows), nil
+	return rows, nil
 }
 
 // AblationTable renders the ablation study from its rows.

@@ -20,8 +20,8 @@ import (
 // same kind. Cells must produce byte-identical output with a nil
 // arena (the cold path) — the differential tests assert exactly that.
 type CellArena struct {
-	// Sim is the cpusim-level arena for the kinds that run whole
-	// systems (cpusim, fig4-cell, ablation).
+	// Sim is the cpusim-level arena for the kind that runs whole
+	// systems, fig4-cell.
 	Sim *cpusim.Arena
 	// caches pools standalone caches for the leakage kind, which keeps
 	// several same-config caches live at once — the slot disambiguates

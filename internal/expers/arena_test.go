@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpusim"
 	"repro/internal/runner"
 )
@@ -25,8 +26,17 @@ func arenaDiffCampaign(t *testing.T, seed uint64) runner.Campaign {
 		}
 		jobs = append(jobs, runner.Spec{Kind: kind, Params: raw})
 	}
+	// A study cell: DPCS with an L2 interval override and Ablate flags
+	// set on the embedded config, as the dpcs and ablate studies write
+	// their cells.
+	tuned := cpusim.ConfigA()
+	tuned.L2.Interval = 2_000
+	tuned.Ablate = core.AblationFlags{NoHoldLatch: true, NoSkipReset: true}
 	for i := 0; i < 3; i++ {
-		add("cpusim", CPUSimParams{Bench: "hmmer.s", SimInstr: 20_000})
+		add("fig4-cell", Fig4CellParams{
+			Config: tuned, Mode: "DPCS", Bench: "hmmer.s",
+			WarmupInstr: 5_000, SimInstr: 20_000,
+		})
 		add("minvdd", MinVDDParams{SizeBytes: 64 << 10, Ways: 4, BlockBytes: 64})
 		add("vddlevels", VDDLevelsParams{Levels: 3})
 		add("cells", CellsParams{})
@@ -34,7 +44,6 @@ func arenaDiffCampaign(t *testing.T, seed uint64) runner.Campaign {
 	}
 	for i := 0; i < 2; i++ {
 		add("multicore", MulticoreParams{Bench: "gobmk.s", Cores: 2, InstrPerCore: 10_000})
-		add("ablation", AblationParams{Benches: []string{"hmmer.s"}, SimInstr: 30_000})
 		// Pinned seed: consecutive cells redraw identical fault maps.
 		add("fig4-cell", Fig4CellParams{
 			Config: cpusim.ConfigA(), Mode: "DPCS", Bench: "hmmer.s",

@@ -31,7 +31,10 @@ import (
 
 // RegisterCampaignKinds installs the standard kinds on reg:
 //
-//	cpusim     one single-core simulation (CPUSimParams → CPUSimOutput)
+//	fig4-cell  one single-core simulation: a workload under one mode
+//	           with its full SystemConfig embedded (Fig4CellParams →
+//	           cpusim.Result); every Fig. 4 cell, sim-section cell and
+//	           dpcs/ablate study cell is one
 //	multicore  one multi-core simulation (MulticoreParams → MulticoreOutput)
 //	minvdd     analytical min-VDD for a cache geometry (MinVDDParams → MinVDDOutput)
 //	mechminvdd analytical summary of one registered fault-tolerance
@@ -41,9 +44,6 @@ import (
 //	vddlevels  fault-map cost and SPCS power vs level count (VDDLevelsParams → VDDLevelsOutput)
 //	cells      bit-cell design comparison (CellsParams → []CellRow)
 //	leakage    leakage-technique comparison (LeakageParams → []LeakageRow)
-//	ablation   DPCS policy ablation study (AblationParams → []AblationRow)
-//	fig4-cell  one workload×mode cell of the Fig. 4 grid with its full
-//	           SystemConfig embedded (Fig4CellParams → cpusim.Result)
 //
 // Every kind carries cache metadata (runner.KindInfo): the decoder
 // reconstructs the kind's concrete output type from a stored result
@@ -53,7 +53,7 @@ import (
 // kinds share cache entries across campaigns with different master
 // seeds.
 func RegisterCampaignKinds(reg *runner.Registry) {
-	reg.MustRegisterKind("cpusim", runCPUSimJob, kindInfo[CPUSimOutput](true))
+	reg.MustRegisterKind("fig4-cell", runFig4CellJob, kindInfo[cpusim.Result](true))
 	// multicore keeps the L2 host and every core's system live at
 	// once, which the arena's build-invalidates-previous contract
 	// forbids; it runs arena-less and still gets the memoized statics
@@ -66,8 +66,6 @@ func RegisterCampaignKinds(reg *runner.Registry) {
 	reg.MustRegisterKind("vddlevels", runVDDLevelsJob, kindInfo[VDDLevelsOutput](false))
 	reg.MustRegisterKind("cells", runCellsJob, kindInfo[[]CellRow](false))
 	reg.MustRegisterKind("leakage", runLeakageJob, kindInfo[[]LeakageRow](true))
-	reg.MustRegisterKind("ablation", runAblationJob, kindInfo[[]AblationRow](true))
-	reg.MustRegisterKind("fig4-cell", runFig4CellJob, kindInfo[cpusim.Result](true))
 }
 
 // kindInfo builds the cache metadata for a kind returning T. Every
@@ -106,125 +104,6 @@ func modeByName(name string) (core.Mode, error) {
 		return 0, fmt.Errorf("expers: unknown mode %q (want baseline, SPCS or DPCS)", name)
 	}
 	return m, nil
-}
-
-// CPUSimParams parameterise one "cpusim" job.
-type CPUSimParams struct {
-	Config      string `json:"config"` // "A" (default) or "B"
-	Mode        string `json:"mode"`   // "baseline" (default), "SPCS" or "DPCS"
-	Bench       string `json:"bench"`
-	WarmupInstr uint64 `json:"warmup_instr"`
-	SimInstr    uint64 `json:"sim_instr"`
-	// Seed pins the run when non-zero; zero uses the derived job seed.
-	Seed uint64 `json:"seed,omitempty"`
-	// Optional DPCS policy overrides (zero = keep the config default).
-	L2Interval    uint64  `json:"l2_interval,omitempty"`
-	HighThreshold float64 `json:"high_threshold,omitempty"`
-	LowThreshold  float64 `json:"low_threshold,omitempty"`
-}
-
-// ApplyDefaults fills the documented defaults: Config A, baseline mode.
-func (p *CPUSimParams) ApplyDefaults() {
-	if p.Config == "" {
-		p.Config = "A"
-	}
-	if p.Mode == "" {
-		p.Mode = "baseline"
-	}
-}
-
-// Validate checks the params are runnable (after ApplyDefaults): known
-// config, mode and benchmark, and a non-empty measured window.
-func (p *CPUSimParams) Validate() error {
-	if _, err := cpusim.ConfigByName(p.Config); err != nil {
-		return err
-	}
-	if _, err := modeByName(p.Mode); err != nil {
-		return err
-	}
-	if _, ok := trace.ByName(p.Bench); !ok {
-		return fmt.Errorf("expers: unknown benchmark %q (known: %v)", p.Bench, trace.Names())
-	}
-	if p.SimInstr == 0 {
-		return fmt.Errorf("expers: cpusim job needs sim_instr > 0")
-	}
-	return nil
-}
-
-// CPUSimOutput is the deterministic record of one "cpusim" job.
-type CPUSimOutput struct {
-	Workload          string  `json:"workload"`
-	Config            string  `json:"config"`
-	Mode              string  `json:"mode"`
-	Instructions      uint64  `json:"instructions"`
-	Cycles            uint64  `json:"cycles"`
-	IPC               float64 `json:"ipc"`
-	L1IEnergyJ        float64 `json:"l1i_energy_j"`
-	L1DEnergyJ        float64 `json:"l1d_energy_j"`
-	L2EnergyJ         float64 `json:"l2_energy_j"`
-	TotalCacheEnergyJ float64 `json:"total_cache_energy_j"`
-	L2Transitions     int     `json:"l2_transitions"`
-}
-
-// ResourceCounts implements runner.ResourceCounter. The output document
-// records L2 transitions only (its schema predates attribution), so
-// writebacks report zero; fig4-cell jobs return cpusim.Result, which
-// carries the full counts.
-func (o CPUSimOutput) ResourceCounts() (transitions int, writebacks uint64) {
-	return o.L2Transitions, 0
-}
-
-// EnergyJ implements runner.ResourceCounter.
-func (o CPUSimOutput) EnergyJ() float64 { return o.TotalCacheEnergyJ }
-
-func runCPUSimJob(ctx context.Context, seed uint64, params json.RawMessage) (any, error) {
-	var p CPUSimParams
-	if err := decodeParams(params, &p); err != nil {
-		return nil, err
-	}
-	p.ApplyDefaults()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, _ := cpusim.ConfigByName(p.Config)
-	mode, _ := modeByName(p.Mode)
-	w, _ := trace.ByName(p.Bench)
-	if p.L2Interval > 0 {
-		cfg.L2.Interval = p.L2Interval
-	}
-	if p.HighThreshold > 0 {
-		cfg.HighThreshold = p.HighThreshold
-	}
-	if p.LowThreshold > 0 {
-		cfg.LowThreshold = p.LowThreshold
-	}
-	if p.Seed != 0 {
-		seed = p.Seed
-	}
-	opts := cpusim.RunOptions{
-		WarmupInstr: p.WarmupInstr,
-		SimInstr:    p.SimInstr,
-		Seed:        seed,
-		// Warm path: reuse this worker's simulation arena (nil when cold).
-		Arena: arenaFromContext(ctx).simArena(),
-	}
-	r, err := cpusim.RunContext(ctx, cfg, mode, w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return CPUSimOutput{
-		Workload:          r.Workload,
-		Config:            r.Config,
-		Mode:              r.Mode.String(),
-		Instructions:      r.Instructions,
-		Cycles:            r.Cycles,
-		IPC:               r.IPC,
-		L1IEnergyJ:        r.L1I.Energy.TotalJ,
-		L1DEnergyJ:        r.L1D.Energy.TotalJ,
-		L2EnergyJ:         r.L2.Energy.TotalJ,
-		TotalCacheEnergyJ: r.TotalCacheEnergyJ,
-		L2Transitions:     r.L2.Transitions,
-	}, nil
 }
 
 // MulticoreParams parameterise one "multicore" job.
@@ -295,7 +174,8 @@ type MulticoreOutput struct {
 }
 
 // ResourceCounts implements runner.ResourceCounter (writebacks are not in
-// this output schema; see CPUSimOutput.ResourceCounts).
+// this output schema; fig4-cell jobs return cpusim.Result, which
+// carries the full counts).
 func (o MulticoreOutput) ResourceCounts() (transitions int, writebacks uint64) {
 	return o.L2Transitions, 0
 }
@@ -661,81 +541,7 @@ func runLeakageJob(ctx context.Context, seed uint64, params json.RawMessage) (an
 	if p.Seed != 0 {
 		seed = p.Seed
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rows, _, err := leakageComparison(arenaFromContext(ctx), p.SimInstr, seed)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// AblationParams parameterise one "ablation" job: the DPCS damping
-// refinements disabled one at a time (DESIGN.md §6).
-type AblationParams struct {
-	// Benches defaults to the cache-friendly/capacity-cliff pair the
-	// paper-style study uses.
-	Benches []string `json:"benches,omitempty"`
-	// WarmupInstr defaults to SimInstr/4.
-	WarmupInstr uint64 `json:"warmup_instr,omitempty"`
-	// SimInstr defaults to 4,000,000.
-	SimInstr uint64 `json:"sim_instr,omitempty"`
-	// Seed pins the run when non-zero; zero uses the derived job seed.
-	Seed uint64 `json:"seed,omitempty"`
-}
-
-// ApplyDefaults fills the documented defaults.
-func (p *AblationParams) ApplyDefaults() {
-	if len(p.Benches) == 0 {
-		p.Benches = []string{"hmmer.s", "sjeng.s"}
-	}
-	if p.SimInstr == 0 {
-		p.SimInstr = 4_000_000
-	}
-	if p.WarmupInstr == 0 {
-		p.WarmupInstr = p.SimInstr / 4
-	}
-}
-
-// Validate checks every benchmark is known and the window non-empty
-// (after ApplyDefaults).
-func (p *AblationParams) Validate() error {
-	for _, b := range p.Benches {
-		if _, ok := trace.ByName(b); !ok {
-			return fmt.Errorf("expers: unknown benchmark %q (known: %v)", b, trace.Names())
-		}
-	}
-	if p.SimInstr == 0 {
-		return fmt.Errorf("expers: ablation job needs sim_instr > 0")
-	}
-	return nil
-}
-
-func runAblationJob(ctx context.Context, seed uint64, params json.RawMessage) (any, error) {
-	var p AblationParams
-	if err := decodeParams(params, &p); err != nil {
-		return nil, err
-	}
-	p.ApplyDefaults()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Seed != 0 {
-		seed = p.Seed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opts := cpusim.RunOptions{
-		WarmupInstr: p.WarmupInstr,
-		SimInstr:    p.SimInstr,
-		Seed:        seed,
-		// The ablation variants run strictly one at a time, so one
-		// worker arena serves the whole study.
-		Arena: arenaFromContext(ctx).simArena(),
-	}
-	rows, _, err := Ablation(p.Benches, opts)
+	rows, _, err := leakageComparison(ctx, arenaFromContext(ctx), p.SimInstr, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -3,12 +3,15 @@ package expers
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cpusim"
 	"repro/internal/faultmodel"
 	"repro/internal/runner"
 	"repro/internal/sram"
@@ -16,7 +19,7 @@ import (
 
 func TestCampaignRegistryKinds(t *testing.T) {
 	reg := NewCampaignRegistry()
-	want := []string{"ablation", "cells", "cpusim", "fig4-cell", "leakage", "mechminvdd", "minvdd", "multicore", "vddlevels"}
+	want := []string{"cells", "fig4-cell", "leakage", "mechminvdd", "minvdd", "multicore", "vddlevels"}
 	got := reg.Kinds()
 	if len(got) != len(want) {
 		t.Fatalf("kinds = %v, want %v", got, want)
@@ -72,11 +75,11 @@ func TestParamValidation(t *testing.T) {
 		kind   string
 		params string
 	}{
-		{"cpusim", `{"bench":"bzip2.s","sim_instr":1000,"typo_field":1}`},
-		{"cpusim", `{"bench":"no-such-bench","sim_instr":1000}`},
-		{"cpusim", `{"bench":"bzip2.s"}`}, // sim_instr missing
-		{"cpusim", `{"bench":"bzip2.s","sim_instr":1,"config":"Z"}`},
-		{"cpusim", `{"bench":"bzip2.s","sim_instr":1,"mode":"turbo"}`},
+		{"fig4-cell", `{"bench":"bzip2.s","sim_instr":1000,"typo_field":1}`},
+		{"fig4-cell", `{"bench":"no-such-bench","sim_instr":1000}`},
+		{"fig4-cell", `{"bench":"bzip2.s"}`}, // sim_instr missing
+		{"fig4-cell", `{"bench":"bzip2.s","sim_instr":1,"config":"Z"}`},
+		{"fig4-cell", `{"bench":"bzip2.s","sim_instr":1,"mode":"turbo"}`},
 		{"multicore", `{"bench":"gobmk.s","cores":0,"instr_per_core":100}`},
 		{"minvdd", `{"size_bytes":0,"ways":4,"block_bytes":64}`},
 		{"vddlevels", `{"levels":0}`},
@@ -119,10 +122,10 @@ func TestParamsRejectTrailingData(t *testing.T) {
 	}
 }
 
-// smallSimParams is a fast cpusim job for pool tests.
-func smallSimParams(mode string, seed uint64) CPUSimParams {
-	return CPUSimParams{
-		Config: "A", Mode: mode, Bench: "bzip2.s",
+// smallSimParams is a fast fig4-cell job for pool tests.
+func smallSimParams(mode string, seed uint64) Fig4CellParams {
+	return Fig4CellParams{
+		Config: cpusim.ConfigA(), Mode: mode, Bench: "bzip2.s",
 		WarmupInstr: 10_000, SimInstr: 30_000, Seed: seed,
 	}
 }
@@ -137,7 +140,7 @@ func TestSimCampaignParallelMatchesSerial(t *testing.T) {
 	for i, mode := range []string{"baseline", "SPCS", "DPCS"} {
 		// Seed 0: each job uses its runner-derived seed.
 		p := smallSimParams(mode, 0)
-		camp.Jobs = append(camp.Jobs, mustSpec(t, "cpusim", fmt.Sprintf("j%d", i), p))
+		camp.Jobs = append(camp.Jobs, mustSpec(t, "fig4-cell", fmt.Sprintf("j%d", i), p))
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		camp.Jobs = append(camp.Jobs, mustSpec(t, "minvdd", fmt.Sprintf("w%d", w), MinVDDParams{
@@ -176,7 +179,7 @@ func TestSimCampaignUnderRace(t *testing.T) {
 	camp := runner.Campaign{Name: "race", Seed: 5}
 	for i := 0; i < 6; i++ {
 		mode := []string{"baseline", "SPCS", "DPCS"}[i%3]
-		camp.Jobs = append(camp.Jobs, mustSpec(t, "cpusim", fmt.Sprintf("r%d", i), smallSimParams(mode, 0)))
+		camp.Jobs = append(camp.Jobs, mustSpec(t, "fig4-cell", fmt.Sprintf("r%d", i), smallSimParams(mode, 0)))
 	}
 	res, err := runner.Run(context.Background(), reg, camp, runner.Options{Workers: 4})
 	if err != nil {
@@ -186,10 +189,42 @@ func TestSimCampaignUnderRace(t *testing.T) {
 		t.Fatalf("done=%d failed=%d cancelled=%d", res.Done, res.Failed, res.Cancelled)
 	}
 	for _, r := range res.Results {
-		out := r.Output.(CPUSimOutput)
+		out := r.Output.(cpusim.Result)
 		if out.Cycles == 0 || out.TotalCacheEnergyJ <= 0 {
 			t.Fatalf("job %d implausible output %+v", r.Index, out)
 		}
+	}
+}
+
+// TestSimKindsHonourCancellation cancels each simulating kind's job
+// about 50 ms into a run that takes seconds uncancelled, and requires
+// the kind to return ctx's error within a second instead of running
+// to completion and reporting the job done.
+func TestSimKindsHonourCancellation(t *testing.T) {
+	reg := NewCampaignRegistry()
+	for _, c := range []struct {
+		kind   string
+		params any
+	}{
+		{"fig4-cell", Fig4CellParams{Config: cpusim.ConfigA(), Mode: "DPCS", Bench: "mcf.s", SimInstr: 50_000_000, Seed: 1}},
+		{"multicore", MulticoreParams{Bench: "gobmk.s", Cores: 2, InstrPerCore: 20_000_000, Seed: 1}},
+		{"leakage", LeakageParams{SimInstr: 8_000_000, Seed: 1}},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			fn, _ := reg.Lookup(c.kind)
+			raw, err := json.Marshal(c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err = fn(ctx, 1, raw)
+			if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > time.Second {
+				t.Errorf("cancelled after 50 ms: returned %v after %v, want %v within 1s",
+					err, took.Round(time.Millisecond), context.DeadlineExceeded)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package expers
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cache"
@@ -30,15 +31,20 @@ type LeakageRow struct {
 // decay saves leakage but destroys state and adds misses; SPCS gets
 // comparable-or-better leakage with a fault story and bounded overhead.
 func LeakageComparison(instructions uint64, seed uint64) ([]LeakageRow, *report.Table, error) {
-	return leakageComparison(nil, instructions, seed)
+	return leakageComparison(context.Background(), nil, instructions, seed)
 }
 
-// leakageComparison is LeakageComparison with an optional per-worker
-// arena: the four standalone caches (baseline, drowsy, decay, SPCS are
-// all live at once, hence the slots) and the fault map come from the
-// arena's pools when one is supplied, and the output is byte-identical
-// either way.
-func leakageComparison(arena *CellArena, instructions uint64, seed uint64) ([]LeakageRow, *report.Table, error) {
+// ctxCheckMask throttles the leakage drive loop's cancellation polling:
+// ctx.Err() is consulted once every 4096 instructions.
+const ctxCheckMask = 4096 - 1
+
+// leakageComparison is LeakageComparison with cancellation and an
+// optional per-worker arena. Each technique's drive loop polls ctx and
+// abandons the comparison with ctx's error once it is cancelled. The
+// four standalone caches (baseline, drowsy, decay, SPCS are all live at
+// once, hence the slots) and the fault map come from the arena's pools
+// when one is supplied, and the output is byte-identical either way.
+func leakageComparison(ctx context.Context, arena *CellArena, instructions uint64, seed uint64) ([]LeakageRow, *report.Table, error) {
 	org := L1ConfigA()
 	tech := device.Tech45SOI()
 	// The scenario every leakage technique targets: an over-provisioned
@@ -67,11 +73,14 @@ func leakageComparison(arena *CellArena, instructions uint64, seed uint64) ([]Le
 	// drive runs `instructions` data accesses through fn, which returns
 	// (hit result, extra latency); it returns total cycles.
 	type stepFn func(addr uint64, write bool, now uint64) (cache.AccessResult, uint64)
-	drive := func(fn stepFn) uint64 {
+	drive := func(fn stepFn) (uint64, error) {
 		gen := trace.MustNew(w, seed)
 		var ins trace.Instr
 		now := uint64(0)
 		for i := uint64(0); i < instructions; i++ {
+			if i&ctxCheckMask == 0 && ctx.Err() != nil {
+				return 0, ctx.Err()
+			}
 			gen.Next(&ins)
 			now++ // base CPI
 			if !ins.HasMem {
@@ -83,16 +92,19 @@ func leakageComparison(arena *CellArena, instructions uint64, seed uint64) ([]Le
 				now += missPenalty
 			}
 		}
-		return now
+		return now, nil
 	}
 
 	nblocks := float64(org.Blocks())
 
 	// Baseline: every line leaks fully for the whole run.
 	baseC := newCache()
-	baseCycles := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
+	baseCycles, err := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
 		return baseC.Access(a, wr), 0
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	baseLineCycles := float64(baseCycles) * nblocks
 
 	var rows []LeakageRow
@@ -109,16 +121,22 @@ func leakageComparison(arena *CellArena, instructions uint64, seed uint64) ([]Le
 
 	// Drowsy cache.
 	dc := leakage.NewDrowsy(newCache(), leakage.DefaultDrowsyParams())
-	drowsyCycles := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
+	drowsyCycles, err := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
 		return dc.Access(a, wr, now)
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	add("drowsy [9]", dc.ActiveLineCycles(drowsyCycles), 1, drowsyCycles, false, false)
 
 	// Cache decay / Gated-Vdd.
 	gc := leakage.NewDecay(newCache(), leakage.DefaultDecayParams(), nil)
-	decayCycles := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
+	decayCycles, err := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
 		return gc.Access(a, wr, now), 0
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	add("gated-Vdd decay [18]", gc.ActiveLineCycles(decayCycles), 1, decayCycles, true, false)
 
 	// SPCS: whole data array at VDD2, faulty blocks gated. The fault
@@ -148,9 +166,12 @@ func leakageComparison(arena *CellArena, instructions uint64, seed uint64) ([]Le
 			}
 		}
 	}
-	spcsCycles := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
+	spcsCycles, err := drive(func(a uint64, wr bool, now uint64) (cache.AccessResult, uint64) {
 		return spcsC.Access(a, wr), 0
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	active := nblocks - float64(spcsC.FaultyCount())
 	leakAtV2 := tech.LeakagePower(device.RVT, v2) / tech.LeakagePower(device.RVT, tech.VDDNom)
 	add(fmt.Sprintf("SPCS @%.2fV (this paper)", v2),

@@ -54,11 +54,12 @@ type Fig4Data struct {
 	Rows   []Fig4Row
 }
 
-// Fig4CellParams parameterise one "fig4-cell" job: a single
-// workload × mode cell of the Fig. 4 grid. Unlike CPUSimParams (which
-// names a canned config), the cell embeds its full SystemConfig, so the
-// parameter document completely determines the simulation — the
-// property that makes cells content-addressable in the result store.
+// Fig4CellParams parameterise one "fig4-cell" job: one single-core
+// simulation, a workload under one mode. The cell embeds its full
+// SystemConfig, so the parameter document completely determines the
+// simulation — the property that makes cells content-addressable in
+// the result store — and a study varies a policy knob (an L2 interval,
+// a threshold, an Ablate flag) by editing the embedded config.
 type Fig4CellParams struct {
 	Config      cpusim.SystemConfig `json:"config"`
 	Mode        string              `json:"mode"`
@@ -70,7 +71,8 @@ type Fig4CellParams struct {
 }
 
 // ApplyDefaults is a no-op: fig4-cell documents are machine-written by
-// Fig4Grid and fully explicit, including the embedded SystemConfig.
+// Fig4CellJobs and the studies and fully explicit, including the
+// embedded SystemConfig.
 func (p *Fig4CellParams) ApplyDefaults() {}
 
 // Validate checks the cell document is runnable.
@@ -87,25 +89,17 @@ func (p *Fig4CellParams) Validate() error {
 	return nil
 }
 
-// runFig4CellJob executes one grid cell, returning the full
-// cpusim.Result (the power tables need per-cache detail CPUSimOutput
-// does not carry).
+// runFig4CellJob executes one cell, returning the full cpusim.Result.
 func runFig4CellJob(ctx context.Context, seed uint64, params json.RawMessage) (any, error) {
 	var p Fig4CellParams
 	if err := decodeParams(params, &p); err != nil {
 		return nil, err
 	}
-	mode, err := modeByName(p.Mode)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	w, ok := trace.ByName(p.Bench)
-	if !ok {
-		return nil, fmt.Errorf("expers: unknown benchmark %q (known: %v)", p.Bench, trace.Names())
-	}
-	if p.SimInstr == 0 {
-		return nil, fmt.Errorf("expers: fig4-cell job needs sim_instr > 0")
-	}
+	mode, _ := modeByName(p.Mode)
+	w, _ := trace.ByName(p.Bench)
 	if p.Seed != 0 {
 		seed = p.Seed
 	}
@@ -154,6 +148,47 @@ func Fig4Grid(ctx context.Context, cfg cpusim.SystemConfig, opts cpusim.RunOptio
 	return Fig4GridWorkloads(ctx, cfg, trace.Suite(), opts, gopts)
 }
 
+// fig4Modes is the mode order of every Fig. 4 row.
+var fig4Modes = [...]core.Mode{core.Baseline, core.SPCS, core.DPCS}
+
+// fig4Cell is the params document of one single-core cell: workload
+// bench under mode on cfg, over opts' window and seed. Every
+// single-core job is written here, so the grid, a spec's sim section
+// and the studies share result-store entries cell for cell.
+func fig4Cell(cfg cpusim.SystemConfig, mode core.Mode, bench string, opts cpusim.RunOptions) Fig4CellParams {
+	return Fig4CellParams{
+		Config:      cfg,
+		Mode:        mode.String(),
+		Bench:       bench,
+		WarmupInstr: opts.WarmupInstr,
+		SimInstr:    opts.SimInstr,
+		Seed:        opts.Seed,
+	}
+}
+
+// Fig4CellJobs lowers one configuration's Fig. 4 grid over workloads to
+// "fig4-cell" jobs, workload-major: each workload's baseline, SPCS and
+// DPCS cells, named config/workload/mode. pcs sim runs these jobs
+// through Fig4GridWorkloads and a spec's sim section expands to them,
+// so both paths share store entries.
+func Fig4CellJobs(cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions) ([]runner.Spec, error) {
+	jobs := make([]runner.Spec, 0, len(workloads)*len(fig4Modes))
+	for _, w := range workloads {
+		for _, m := range fig4Modes {
+			params, err := json.Marshal(fig4Cell(cfg, m, w.Name, opts))
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, runner.Spec{
+				Kind:   "fig4-cell",
+				Name:   fmt.Sprintf("%s/%s/%v", cfg.Name, w.Name, m),
+				Params: params,
+			})
+		}
+	}
+	return jobs, nil
+}
+
 // Fig4GridWorkloads is Fig4Grid over an explicit workload list.
 //
 // Every cell is an independent simulation pinned to opts.Seed —
@@ -162,27 +197,9 @@ func Fig4Grid(ctx context.Context, cfg cpusim.SystemConfig, opts cpusim.RunOptio
 // over the same cells regardless of worker count, completion order, or
 // cache hits; only wall-clock time changes.
 func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads []trace.Workload, opts cpusim.RunOptions, gopts GridOptions) (Fig4Data, GridStats, error) {
-	modes := []core.Mode{core.Baseline, core.SPCS, core.DPCS}
-	jobs := make([]runner.Spec, 0, len(workloads)*len(modes))
-	for _, w := range workloads {
-		for _, m := range modes {
-			params, err := json.Marshal(Fig4CellParams{
-				Config:      cfg,
-				Mode:        m.String(),
-				Bench:       w.Name,
-				WarmupInstr: opts.WarmupInstr,
-				SimInstr:    opts.SimInstr,
-				Seed:        opts.Seed,
-			})
-			if err != nil {
-				return Fig4Data{}, GridStats{}, err
-			}
-			jobs = append(jobs, runner.Spec{
-				Kind:   "fig4-cell",
-				Name:   fmt.Sprintf("%s/%s/%v", cfg.Name, w.Name, m),
-				Params: params,
-			})
-		}
+	jobs, err := Fig4CellJobs(cfg, workloads, opts)
+	if err != nil {
+		return Fig4Data{}, GridStats{}, err
 	}
 	ropts := runner.Options{
 		Workers:     gopts.Workers,
@@ -218,9 +235,9 @@ func Fig4GridWorkloads(ctx context.Context, cfg cpusim.SystemConfig, workloads [
 	for i, w := range workloads {
 		data.Rows = append(data.Rows, Fig4Row{
 			Workload: w.Name,
-			Baseline: cres.Results[i*len(modes)+0].Output.(cpusim.Result),
-			SPCS:     cres.Results[i*len(modes)+1].Output.(cpusim.Result),
-			DPCS:     cres.Results[i*len(modes)+2].Output.(cpusim.Result),
+			Baseline: cres.Results[i*len(fig4Modes)+0].Output.(cpusim.Result),
+			SPCS:     cres.Results[i*len(fig4Modes)+1].Output.(cpusim.Result),
+			DPCS:     cres.Results[i*len(fig4Modes)+2].Output.(cpusim.Result),
 		})
 	}
 	return data, stats, nil

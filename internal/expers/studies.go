@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
+	"repro/internal/cpusim"
 	"repro/internal/mechanism"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -161,17 +163,30 @@ func LeakageStudy(instr, seed uint64) Study {
 }
 
 // AblationStudy disables the DPCS damping refinements one at a time
-// (DESIGN.md §6) on a cache-friendly and a capacity-cliff workload, as
-// one "ablation" job pinned to the given seed.
-func AblationStudy(instr, seed uint64) Study {
-	benches := []string{"hmmer.s", "sjeng.s"}
+// (DESIGN.md §6) under Config A, over opts' window and seed: for each
+// workload, one baseline cell and one DPCS cell per AblationVariants
+// entry with its Ablate flags set, every cell a "fig4-cell" job. nil
+// workloads means the cache-friendly/capacity-cliff pair hmmer.s and
+// sjeng.s. An unknown workload fails its cells, and so the study.
+func AblationStudy(workloads []string, opts cpusim.RunOptions) Study {
+	if workloads == nil {
+		workloads = []string{"hmmer.s", "sjeng.s"}
+	}
+	var jobs []runner.Spec
+	for _, bench := range workloads {
+		jobs = append(jobs, newSpec("fig4-cell", bench+"/baseline",
+			fig4Cell(cpusim.ConfigA(), core.Baseline, bench, opts)))
+		for _, v := range AblationVariants() {
+			cfg := cpusim.ConfigA()
+			cfg.Ablate = v.Flags
+			jobs = append(jobs, newSpec("fig4-cell", bench+"/"+v.Name, fig4Cell(cfg, core.DPCS, bench, opts)))
+		}
+	}
 	return Study{
 		Name: "ablate",
-		Jobs: []runner.Spec{newSpec("ablation", "ablation", AblationParams{
-			Benches: benches, WarmupInstr: instr / 4, SimInstr: instr, Seed: seed,
-		})},
+		Jobs: jobs,
 		Table: func(results []runner.JobResult) (*report.Table, error) {
-			rows, err := jobOutput[[]AblationRow](results, 0)
+			rows, err := AblationRows(results)
 			if err != nil {
 				return nil, err
 			}
@@ -181,32 +196,30 @@ func AblationStudy(instr, seed uint64) Study {
 }
 
 // DPCSStudy measures policy sensitivity: energy saving and overhead as
-// the sampling interval and escape budget vary. The baseline run and the
-// 9-cell parameter grid form one campaign; every cell pins seed so all
-// runs share fault maps and stay directly comparable.
+// the sampling interval and escape budget vary. The baseline cell and
+// the 9-cell parameter grid form one campaign of "fig4-cell" jobs, each
+// DPCS cell with its L2 interval and thresholds set on Config A; every
+// cell pins seed so all runs share fault maps and stay directly
+// comparable.
 func DPCSStudy(bench string, instr uint64, seed uint64) Study {
 	intervals := []uint64{2_000, 10_000, 50_000}
 	threshes := []float64{0.01, 0.03, 0.10}
-	base := CPUSimParams{
-		Config: "A", Mode: "baseline", Bench: bench,
-		WarmupInstr: instr / 4, SimInstr: instr, Seed: seed,
-	}
-	jobs := []runner.Spec{newSpec("cpusim", "baseline", base)}
+	opts := cpusim.RunOptions{WarmupInstr: instr / 4, SimInstr: instr, Seed: seed}
+	jobs := []runner.Spec{newSpec("fig4-cell", "baseline", fig4Cell(cpusim.ConfigA(), core.Baseline, bench, opts))}
 	for _, interval := range intervals {
 		for _, ht := range threshes {
-			p := base
-			p.Mode = "DPCS"
-			p.L2Interval = interval
-			p.HighThreshold = ht
-			p.LowThreshold = ht / 2
-			jobs = append(jobs, newSpec("cpusim", fmt.Sprintf("int=%d ht=%.2f", interval, ht), p))
+			cfg := cpusim.ConfigA()
+			cfg.L2.Interval = interval
+			cfg.HighThreshold = ht
+			cfg.LowThreshold = ht / 2
+			jobs = append(jobs, newSpec("fig4-cell", fmt.Sprintf("int=%d ht=%.2f", interval, ht), fig4Cell(cfg, core.DPCS, bench, opts)))
 		}
 	}
 	return Study{
 		Name: "dpcs",
 		Jobs: jobs,
 		Table: func(results []runner.JobResult) (*report.Table, error) {
-			baseOut, err := jobOutput[CPUSimOutput](results, 0)
+			baseOut, err := jobOutput[cpusim.Result](results, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -216,7 +229,7 @@ func DPCSStudy(bench string, instr uint64, seed uint64) Study {
 			i := 1
 			for _, interval := range intervals {
 				for _, ht := range threshes {
-					out, err := jobOutput[CPUSimOutput](results, i)
+					out, err := jobOutput[cpusim.Result](results, i)
 					if err != nil {
 						return nil, err
 					}
@@ -224,7 +237,7 @@ func DPCSStudy(bench string, instr uint64, seed uint64) Study {
 					t.AddRow(interval, ht,
 						fmt.Sprintf("%.1f", (1-out.TotalCacheEnergyJ/baseOut.TotalCacheEnergyJ)*100),
 						fmt.Sprintf("%.2f", (float64(out.Cycles)/float64(baseOut.Cycles)-1)*100),
-						out.L2Transitions)
+						out.L2.Transitions)
 				}
 			}
 			return t, nil
@@ -301,7 +314,7 @@ func StudyByName(name, bench string, instr, seed uint64) (Study, error) {
 	case "dpcs":
 		return DPCSStudy(bench, instr, seed), nil
 	case "ablate":
-		return AblationStudy(instr, seed), nil
+		return AblationStudy(nil, cpusim.RunOptions{WarmupInstr: instr / 4, SimInstr: instr, Seed: seed}), nil
 	case "mechs":
 		return MechStudy(nil)
 	default:

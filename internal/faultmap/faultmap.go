@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Levels is an ordered set of allowed data-array supply voltages, from
@@ -82,13 +81,6 @@ func (l Levels) LevelOf(v float64) int {
 		}
 	}
 	return 0
-}
-
-// HighestLevelAtOrBelow returns the highest 1-based level whose voltage is
-// <= v, or 0 if every level is above v.
-func (l Levels) HighestLevelAtOrBelow(v float64) int {
-	i := sort.SearchFloat64s(l.volts, v+1e-12)
-	return i
 }
 
 // FMBits returns the number of fault-map bits per block needed to encode
@@ -223,10 +215,6 @@ func (m *Map) FaultyCount(level int) int {
 func (m *Map) EffectiveCapacity(level int) float64 {
 	return 1 - float64(m.FaultyCount(level))/float64(len(m.fm))
 }
-
-// MinUsableLevel returns the lowest 1-based level at which block b is
-// usable, or N+1 if the block is faulty even at the highest level.
-func (m *Map) MinUsableLevel(b int) int { return int(m.fm[b]) + 1 }
 
 // CheckInclusion verifies the fault inclusion property as encoded:
 // for every block, the set of faulty levels must be a downward-closed

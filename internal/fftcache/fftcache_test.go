@@ -1,6 +1,7 @@
 package fftcache
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cacti"
@@ -130,12 +131,28 @@ func TestProposedBeatsFFTAtAllCapacities(t *testing.T) {
 	}
 }
 
+// sacrificedFraction returns the expected fraction of blocks lost as
+// remap targets at vdd, capped at the mechanism's saturation point
+// (see EffectiveCapacity).
+func sacrificedFraction(m *Model, vdd float64) float64 {
+	q := m.pBlockFaulty(vdd)
+	return math.Min(q/(2-q), m.Params.MaxSacrificeFraction)
+}
+
+// TestSacrificedFractionBounded checks the sacrificed fraction stays
+// within [0, MaxSacrificeFraction] and is exactly what EffectiveCapacity
+// takes away below saturation.
 func TestSacrificedFractionBounded(t *testing.T) {
 	m, _ := setup(t, 2)
 	for _, v := range faultmodel.Grid(0.30, 1.00) {
-		s := m.SacrificedFraction(v)
+		s := sacrificedFraction(m, v)
 		if s < 0 || s > m.Params.MaxSacrificeFraction+1e-12 {
 			t.Fatalf("sacrifice fraction %v out of bounds at %v V", s, v)
+		}
+		if s < m.Params.MaxSacrificeFraction {
+			if c := m.EffectiveCapacity(v); c != 1-s {
+				t.Errorf("capacity %v at %v V, want 1 - sacrificed %v", c, v, s)
+			}
 		}
 	}
 }

@@ -200,18 +200,6 @@ func (a *Array) FaultyCellCount(vdd float64) int {
 	return n
 }
 
-// FaultyRowCount returns how many rows contain at least one unreliable
-// cell at voltage vdd.
-func (a *Array) FaultyRowCount(vdd float64) int {
-	n := 0
-	for r := 0; r < a.rows; r++ {
-		if vdd < a.RowVmin(r) {
-			n++
-		}
-	}
-	return n
-}
-
 // InjectFault forces a cell's Vmin and failure mode, for fault-injection
 // tests. Passing vmin = +Inf makes the cell permanently faulty.
 func (a *Array) InjectFault(row, col int, vmin float64, kind FaultKind) {

